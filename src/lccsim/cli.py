@@ -75,13 +75,14 @@ def cmd_lcc(args) -> int:
                         f"input dimension {input_state.total_dim} != gate "
                         f"dimension {spec.d}")
     result = lcc.run_lcc(spec, input_state)
+    if not result.success:
+        raise _CliError(EXIT_PRECONDITION,
+                        "the combination vanishes on this input: the "
+                        "postselection never succeeds")
+    # success implies a branch norm well above zero
     direct = spec.combination() @ input_state.data
-    nrm = np.linalg.norm(direct)
-    if nrm > 1e-300 and not result.output_state.data.size == 0:
-        residual = qcore.vector_phase_distance(result.output_state.data,
-                                               direct / nrm)
-    else:
-        residual = float("nan")
+    residual = qcore.vector_phase_distance(result.output_state.data,
+                                           direct / np.linalg.norm(direct))
     lines = ["# lcc run report",
              f"terms={spec.n} dimension={spec.d} all_unitary={int(spec.all_unitary)}",
              f"success_probability={result.success_probability:.12f}",
@@ -152,15 +153,23 @@ def cmd_protocol(args) -> int:
     seed = args.seed if args.seed is not None else doc.get("seed")
     if seed is None:
         raise _CliError(EXIT_PRECONDITION, "protocol runs require a seed")
-    rng = np.random.default_rng(int(seed))
+    try:
+        rng = np.random.default_rng(int(seed))
+        epsilon, tau = float(doc["epsilon"]), float(doc["tau"])
+        intercept_fraction = float(doc.get("intercept_fraction", 0.0))
+        rounds = int(doc["rounds"])
+        amps = None
+        if "input_state" in doc:
+            amps = np.array([complex(re, im) for re, im in doc["input_state"]])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _CliError(EXIT_PARSE, f"invalid scenario field: {exc}") from None
 
     op_name = doc["operation"]
     if op_name not in gates.COMBINATIONS:
         raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {op_name!r}")
     spec = gates.combination_spec(op_name)
 
-    if "input_state" in doc:
-        amps = np.array([complex(re, im) for re, im in doc["input_state"]])
+    if amps is not None:
         input_state = qcore.statevector(amps)
     else:
         input_state = qcore.basis_state((spec.d,), (0,))
@@ -171,17 +180,15 @@ def cmd_protocol(args) -> int:
 
     control = np.array(spec.coefficients, dtype=complex)
     try:
-        policy = protocol.SendPolicy(epsilon=float(doc["epsilon"]),
-                                     tau=float(doc["tau"]),
+        policy = protocol.SendPolicy(epsilon=epsilon, tau=tau,
                                      control_rho=np.outer(control, control.conj()))
         behavior = protocol.ServerBehavior(
             mode=doc.get("behavior", "honest"),
-            intercept_fraction=float(doc.get("intercept_fraction", 0.0)),
+            intercept_fraction=intercept_fraction,
             intercept_basis=doc.get("intercept_basis", "x"))
     except InvalidInputError as exc:
         raise _CliError(EXIT_PRECONDITION, str(exc)) from None
 
-    rounds = int(doc["rounds"])
     transcript = protocol.run_session(spec, input_state, policy, behavior,
                                       rounds, rng)
     analytic = protocol.success_probability_account(spec)

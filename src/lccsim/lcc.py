@@ -7,6 +7,14 @@ an (n*d)-dimensional target.  Both postselect the all-zero control
 outcome.  In the extended circuit the controlled swaps run a second time
 after the block-diagonal sum, returning every branch to subspace 0
 before the control register is Hadamarded.
+
+Neither form builds a full-register matrix.  The joint amplitudes are
+reshaped to (control, subspace, d): a controlled subspace swap is a
+permutation of the subspace axis that depends on the control label, and
+the block-diagonal sum is one batched matrix-vector product over the
+term axis.  Memory is O(n^2 d) for the extended circuit, the size of its
+state.  The dense builders ``subspace_swap`` and ``sum_operation`` remain
+for inspection and tests.
 """
 
 from __future__ import annotations
@@ -92,12 +100,19 @@ def build_control_state(spec: LinearCombinationSpec) -> QuantumState:
     return statevector(spec.coefficients, dims=(2,) * spec.k if spec.k else (1,))
 
 
+def _swap_table(n: int) -> np.ndarray:
+    """(n, n) table whose row c is sigma_c, the swap of subspace labels 0 and c."""
+    table = np.tile(np.arange(n), (n, 1))
+    table[:, 0] = np.arange(n)
+    np.fill_diagonal(table, 0)
+    return table
+
+
 def subspace_swap(j: int, d: int, n: int) -> np.ndarray:
     """Permutation X^(0,j) exchanging subspaces 0 and j of an (n*d)-dim target."""
     if not 1 <= j <= n - 1:
         raise InvalidInputError(f"subspace index {j} out of range 1..{n - 1}")
-    perm = np.arange(n * d)
-    perm[0:d], perm[j * d:(j + 1) * d] = perm[j * d:(j + 1) * d].copy(), perm[0:d].copy()
+    perm = (_swap_table(n)[j][:, None] * d + np.arange(d)).reshape(-1)
     return np.eye(n * d, dtype=complex)[perm]
 
 
@@ -139,6 +154,11 @@ def _finish(joint: QuantumState, k: int, d: int) -> LccRunResult:
     return LccRunResult(True, outcome.probability, out, joint)
 
 
+def _apply_blocks(spec: LinearCombinationSpec, amps: np.ndarray) -> np.ndarray:
+    """V_j applied to block j of the (..., n, d)-shaped amplitudes."""
+    return np.einsum("sab,...sb->...sa", np.stack(spec.gates), amps)
+
+
 def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
     """Extended-target circuit: controlled swaps, sum operation, Hadamards.
 
@@ -150,19 +170,15 @@ def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunRes
     _check_input(spec, input_state)
     n, k, d = spec.n, spec.k, spec.d
     joint = tensor(build_control_state(spec), embed_input(spec, input_state))
-    # controlled subspace swaps: sum_j |j><j|_C (x) X^(0,j)
-    cswap = np.zeros((n * n * d, n * n * d), dtype=complex)
-    for j in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[j, j] = 1.0
-        xj = np.eye(n * d, dtype=complex) if j == 0 else subspace_swap(j, d, n)
-        cswap += np.kron(proj, xj)
-    joint = apply_to_subsystems(joint, cswap, range(k + 1))
-    joint = apply_to_subsystems(joint, sum_operation(spec), [k])
+    amps = joint.data.reshape(n, n, d)
+    # controlled subspace swaps sum_c |c><c|_C (x) X^(0,c), as a gather:
+    # amplitude (c, s) takes the one at (c, sigma_c(s))
+    swap = (np.arange(n)[:, None], _swap_table(n))
+    amps = _apply_blocks(spec, amps[swap])
     # second pass of the controlled swaps brings every branch back to
     # subspace 0 before the Hadamards (swaps are involutory)
-    joint = apply_to_subsystems(joint, cswap, range(k + 1))
-    return _finish(joint, k, d)
+    amps = amps[swap]
+    return _finish(statevector(amps.reshape(-1), dims=joint.dims), k, d)
 
 
 def run_lcc_controlled_form(spec: LinearCombinationSpec,
@@ -174,11 +190,8 @@ def run_lcc_controlled_form(spec: LinearCombinationSpec,
     _check_input(spec, input_state)
     n, k, d = spec.n, spec.k, spec.d
     joint = tensor(build_control_state(spec), input_state)
-    cv = np.zeros((n * d, n * d), dtype=complex)
-    for j, g in enumerate(spec.gates):
-        cv[j * d:(j + 1) * d, j * d:(j + 1) * d] = g
-    joint = apply_to_subsystems(joint, cv, range(k + 1))
-    return _finish(joint, k, d)
+    amps = _apply_blocks(spec, joint.data.reshape(n, d))
+    return _finish(statevector(amps.reshape(-1), dims=joint.dims), k, d)
 
 
 def lcc_success_probability(spec: LinearCombinationSpec,

@@ -177,9 +177,22 @@ def kron(a, b) -> np.ndarray:
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 
-def _embed(op: np.ndarray, dims, targets) -> np.ndarray:
-    """Full-register matrix acting as ``op`` on ``targets``, identity elsewhere."""
-    dims = tuple(dims)
+def _contract(op: np.ndarray, tens: np.ndarray, axes) -> np.ndarray:
+    """Contract the input legs of the 2m-legged ``op`` into ``axes`` of ``tens``."""
+    m = len(axes)
+    out = np.tensordot(op, tens, axes=(list(range(m, 2 * m)), list(axes)))
+    # tensordot puts the output legs first; move them back into place
+    return np.moveaxis(out, list(range(m)), list(axes))
+
+
+def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
+    """Apply ``op`` to the listed subsystems, identity on the rest.
+
+    The operator is contracted into the reshaped state, so the cost and
+    memory scale with the state, never with a full-register matrix.
+    """
+    op = _as_matrix(op)
+    dims = state.dims
     targets = tuple(targets)
     n = len(dims)
     if len(set(targets)) != len(targets):
@@ -187,30 +200,20 @@ def _embed(op: np.ndarray, dims, targets) -> np.ndarray:
     for t in targets:
         if not 0 <= t < n:
             raise DimensionMismatchError(f"target {t} out of range for {n} subsystems")
-    dt = int(np.prod([dims[t] for t in targets]))
+    tdims = [dims[t] for t in targets]
+    dt = int(np.prod(tdims, dtype=int))
     if op.shape != (dt, dt):
         raise DimensionMismatchError(
             f"operator shape {op.shape} != target dimension {dt}")
-    rest = [i for i in range(n) if i not in targets]
-    # Operator as a 2n-legged tensor in the permuted (targets, rest) order.
-    full = np.kron(op, np.eye(int(np.prod([dims[r] for r in rest], dtype=int))))
-    perm = list(targets) + rest
-    tdims = [dims[p] for p in perm]
-    full = full.reshape(tdims + tdims)
-    inv = np.argsort(perm)
-    full = full.transpose(list(inv) + [len(perm) + i for i in inv])
-    total = int(np.prod(dims))
-    return full.reshape(total, total)
-
-
-def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
-    """Apply ``op`` to the listed subsystems, identity on the rest."""
-    op = _as_matrix(op)
-    full = _embed(op, state.dims, targets)
+    op = op.reshape(tdims + tdims)
     if state.kind == "statevector":
-        return QuantumState("statevector", state.dims, full @ state.data)
-    return QuantumState("density", state.dims,
-                        full @ state.data @ full.conj().T)
+        out = _contract(op, state.data.reshape(dims), targets)
+        return QuantumState("statevector", dims, out.reshape(-1))
+    # rho -> op rho op^dagger: op on the row legs, conj(op) on the column legs
+    rho = _contract(op, state.data.reshape(dims + dims), targets)
+    rho = _contract(op.conj(), rho, [n + t for t in targets])
+    total = state.total_dim
+    return QuantumState("density", dims, rho.reshape(total, total))
 
 
 def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutcome:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,15 @@ from lccsim import cli, gates, lcc, qcore
 
 def run(args):
     return cli.main(args)
+
+
+def run_process(args):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lccsim.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture
@@ -52,6 +65,16 @@ class TestLccCommand:
 
     def test_missing_file(self):
         assert run(["lcc", "/nonexistent/spec.json"]) == 2
+
+    def test_vanishing_combination_exit_3(self, tmp_path):
+        path = tmp_path / "vanish.json"
+        r2 = 1 / math.sqrt(2)
+        path.write_text(json.dumps({"coefficients": [[r2, 0.0], [-r2, 0.0]],
+                                    "gates": ["I", "I"]}))
+        code, err = run_process(["lcc", str(path)])
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "never succeeds" in err
 
 
 class TestKakCommand:
@@ -121,6 +144,24 @@ class TestProtocolCommand:
             "seed": 1,
             "input_state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
         assert run(["protocol", str(path)]) == 4
+
+    def test_non_numeric_epsilon_exit_2(self, tmp_path):
+        path = tmp_path / "text.json"
+        path.write_text(json.dumps({"operation": "U2", "epsilon": "half",
+                                    "tau": 0.5, "rounds": 5, "seed": 1}))
+        code, err = run_process(["protocol", str(path)])
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", None), ("rounds", "many"), ("rounds", 1e400), ("seed", -1),
+        ("intercept_fraction", [0.5]), ("input_state", [[1.0], [0.0]])])
+    def test_malformed_numeric_field_exit_2(self, tmp_path, field, value):
+        path = tmp_path / "field.json"
+        doc = {"operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 5,
+               "seed": 1, field: value}
+        path.write_text(json.dumps(doc))
+        assert run(["protocol", str(path)]) == 2
 
 
 class TestTomographyCommand:

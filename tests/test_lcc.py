@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,72 @@ class TestRunLcc:
                 direct = direct / np.linalg.norm(direct)
                 assert vector_phase_distance(res.output_state.data,
                                              direct) < 1e-10
+
+
+def dense_run_lcc(spec, psi):
+    """Reference extended circuit with dense controlled-swap matrices.
+
+    Returns the pre-measurement amplitudes, the all-zero branch
+    probability and the normalized subspace-0 output.
+    """
+    n, k, d = spec.n, spec.k, spec.d
+    joint = np.kron(spec.coefficients, embed_input(spec, statevector(psi)).data)
+    cswap = sum(np.kron(np.diag(np.eye(n)[j]),
+                        np.eye(n * d) if j == 0 else subspace_swap(j, d, n))
+                for j in range(n))
+    hadamards = np.ones((1, 1))
+    for _ in range(k):
+        hadamards = np.kron(hadamards, HADAMARD)
+    circuit = (np.kron(hadamards, np.eye(n * d)) @ cswap
+               @ np.kron(np.eye(n), sum_operation(spec)) @ cswap)
+    pre = circuit @ joint
+    branch = pre[:n * d]
+    p = float(np.vdot(branch, branch).real)
+    assert np.abs(branch[d:]).max(initial=0.0) < 1e-12
+    return pre, p, branch[:d] / np.linalg.norm(branch[:d])
+
+
+class TestRunLccMatchesDenseCircuit:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_spec(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        spec = LinearCombinationSpec(
+            alpha / np.linalg.norm(alpha),
+            tuple(haar_random_unitary(d, rng) for _ in range(n)))
+        psi = random_statevector(d, rng)
+        pre, p, out = dense_run_lcc(spec, psi)
+        res = run_lcc(spec, statevector(psi))
+        assert (res.pre_measurement_state.dims
+                == build_control_state(spec).dims + (n * d,))
+        assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+        assert res.success
+        assert abs(res.success_probability - p) < 1e-12
+        assert np.abs(res.output_state.data - out).max() < 1e-12
+
+
+class TestRunLccAtScale:
+    def test_n64_d8_without_dense_matrices(self):
+        rng = np.random.default_rng(12)
+        n, d = 64, 8
+        spec = random_unitary_combination_spec(n, d, rng)
+        psi = statevector(random_statevector(d, rng))
+        tracemalloc.start()
+        try:
+            res = run_lcc(spec, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense (n^2 d)^2 controlled swap would need about 17 GB; the
+        # state itself is 512 kB
+        assert peak < 64 * 2 ** 20
+        direct = sum(a * g for a, g in zip(spec.coefficients, spec.gates)) @ psi.data
+        assert abs(res.success_probability - 1.0 / n) < 1e-12
+        assert abs(res.success_probability
+                   - float(np.vdot(direct, direct).real) / n) < 1e-12
+        assert vector_phase_distance(res.output_state.data,
+                                     direct / np.linalg.norm(direct)) < 1e-10
 
 
 class TestControlledForm:

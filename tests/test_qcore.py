@@ -73,6 +73,76 @@ class TestApplyToSubsystems:
             apply_to_subsystems(st, np.eye(4), [0, 0])
 
 
+def dense_embed(op, dims, targets):
+    """Reference: full-register matrix acting as ``op`` on ``targets``."""
+    dims, targets = tuple(dims), tuple(targets)
+    rest = [i for i in range(len(dims)) if i not in targets]
+    full = np.kron(op, np.eye(int(np.prod([dims[r] for r in rest], dtype=int))))
+    perm = list(targets) + rest
+    tdims = [dims[p] for p in perm]
+    full = full.reshape(tdims + tdims)
+    inv = np.argsort(perm)
+    full = full.transpose(list(inv) + [len(perm) + i for i in inv])
+    total = int(np.prod(dims))
+    return full.reshape(total, total)
+
+
+class TestApplyMatchesDenseEmbed:
+    CASES = [((2, 3, 2), [1]), ((2, 3, 2), [2, 0]), ((2, 3, 2), [0, 2]),
+             ((2, 3, 2), [2, 1, 0]), ((3, 2, 2, 2), [3, 1]), ((4,), [0]),
+             ((2, 3), [1, 0])]
+
+    @pytest.mark.parametrize("dims, targets", CASES)
+    def test_statevector(self, dims, targets):
+        rng = np.random.default_rng(sum(dims) + len(targets))
+        total = int(np.prod(dims))
+        st = statevector(rng.normal(size=total) + 1j * rng.normal(size=total),
+                         dims=dims)
+        dt = int(np.prod([dims[t] for t in targets]))
+        op = rng.normal(size=(dt, dt)) + 1j * rng.normal(size=(dt, dt))
+        out = apply_to_subsystems(st, op, targets)
+        assert out.dims == st.dims
+        want = dense_embed(op, dims, targets) @ st.data
+        assert np.abs(out.data - want).max() < 1e-12
+
+    @pytest.mark.parametrize("dims, targets", CASES)
+    def test_density(self, dims, targets):
+        rng = np.random.default_rng(100 + sum(dims) + len(targets))
+        total = int(np.prod(dims))
+        a = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+        rho = QuantumState("density", dims, a @ a.conj().T / np.trace(a @ a.conj().T))
+        dt = int(np.prod([dims[t] for t in targets]))
+        op = haar_random_unitary(dt, rng)
+        out = apply_to_subsystems(rho, op, targets)
+        full = dense_embed(op, dims, targets)
+        want = full @ rho.data @ full.conj().T
+        assert np.abs(out.data - want).max() < 1e-12
+
+    def test_density_agrees_with_statevector(self):
+        rng = np.random.default_rng(7)
+        st = statevector(rng.normal(size=12) + 1j * rng.normal(size=12),
+                         dims=(2, 3, 2)).normalized()
+        op = haar_random_unitary(4, rng)
+        via_rho = apply_to_subsystems(st.to_density(), op, [2, 0])
+        via_psi = apply_to_subsystems(st, op, [2, 0]).to_density()
+        assert np.abs(via_rho.data - via_psi.data).max() < 1e-12
+
+    def test_wrong_operator_shape_rejected(self):
+        st = basis_state((2, 3), (0, 0))
+        with pytest.raises(DimensionMismatchError):
+            apply_to_subsystems(st, np.eye(2), [1])
+
+    def test_out_of_range_target_rejected(self):
+        st = basis_state((2, 3), (0, 0))
+        with pytest.raises(DimensionMismatchError):
+            apply_to_subsystems(st, np.eye(2), [2])
+
+    def test_duplicate_target_is_invalid_input(self):
+        st = basis_state((2, 2), (0, 0))
+        with pytest.raises(InvalidInputError):
+            apply_to_subsystems(st.to_density(), np.eye(4), [1, 1])
+
+
 class TestMeasurePostselect:
     def test_plus_state(self):
         st = statevector(np.array([1, 1]) / math.sqrt(2))
