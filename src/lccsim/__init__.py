@@ -9,7 +9,7 @@ from .qcore import (ATOL_ROUNDTRIP, ATOL_STRUCT, DimensionMismatchError,
                     PAULIS, QuantumState, SX, SY, SZ, apply_to_subsystems,
                     basis_state, format_matrix, format_state,
                     haar_random_unitary, is_unitary, kron, measure_postselect,
-                    parse_matrix, parse_state, partial_trace,
+                    parse_matrix, parse_state, partial_trace, pauli_coefficients,
                     phase_aligned_distance, state_fidelity, statevector,
                     tensor, vector_phase_distance)
 from .lcc import (LccRunResult, LinearCombinationSpec, build_control_state,
@@ -18,15 +18,15 @@ from .lcc import (LccRunResult, LinearCombinationSpec, build_control_state,
                   spec_to_json, subspace_swap, sum_operation)
 from .kak import (DecompositionError, KakDecomposition, PauliDecomposition,
                   alphas_from_core, alphas_from_k, kak_decompose,
-                  lcu_spec_from_kak, pauli_decompose, pauli_expand,
-                  simultaneous_svd, su8_two_term_combine)
+                  lcu_spec_from_kak, pauli_decompose, simultaneous_svd,
+                  su8_two_term_combine)
 from .gates import A_GATE, B_GATE, COMBINATIONS, GATES, combination_spec, gate
 from .protocol import (ChannelSet, ProtocolTranscript, RoundRecord,
                        SendPolicy, ServerBehavior, WitnessReport,
                        cheating_server_state, empirical_server_average,
                        epr_pair, intercept_detection_rate, make_decoy,
                        monte_carlo_success, no_cloning_witness, run_session,
-                       sample_send, schmidt_rank, success_probability_account,
+                       schmidt_rank, success_probability_account,
                        teleport_corrected, teleport_postselected,
                        verify_decoy_identity)
 from .tomography import (BASIS_LABELS, ChiMatrix, MleResult, PREP_LABELS,
@@ -35,5 +35,4 @@ from .tomography import (BASIS_LABELS, ChiMatrix, MleResult, PREP_LABELS,
                          measurement_matrix, process_fidelity,
                          reconstruct_mle, simulate_dataset)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -111,6 +111,8 @@ def _kak_report(u: np.ndarray, label: str) -> list[str]:
 
 def cmd_kak(args) -> int:
     if args.random is not None:
+        if args.random < 1:
+            raise _CliError(EXIT_PARSE, "--random needs a positive count")
         rng = _require_seed(args)
         residuals = []
         lines = [f"# kak random batch: count={args.random} seed={args.seed}"]
@@ -142,6 +144,8 @@ def _load_scenario(path: str) -> dict:
         doc = json.loads(_read_file(path))
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_PARSE, f"invalid scenario file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise _CliError(EXIT_PARSE, "scenario file must hold a JSON object")
     for key in ("operation", "epsilon", "tau", "rounds"):
         if key not in doc:
             raise _CliError(EXIT_PARSE, f"scenario missing field {key!r}")
@@ -158,6 +162,8 @@ def cmd_protocol(args) -> int:
         epsilon, tau = float(doc["epsilon"]), float(doc["tau"])
         intercept_fraction = float(doc.get("intercept_fraction", 0.0))
         rounds = int(doc["rounds"])
+        if rounds < 0:
+            raise ValueError(f"rounds must be non-negative, got {rounds}")
         amps = None
         if "input_state" in doc:
             amps = np.array([complex(re, im) for re, im in doc["input_state"]])
@@ -165,6 +171,8 @@ def cmd_protocol(args) -> int:
         raise _CliError(EXIT_PARSE, f"invalid scenario field: {exc}") from None
 
     op_name = doc["operation"]
+    if not isinstance(op_name, str):
+        raise _CliError(EXIT_PARSE, f"operation must be a name, got {op_name!r}")
     if op_name not in gates.COMBINATIONS:
         raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {op_name!r}")
     spec = gates.combination_spec(op_name)

@@ -86,8 +86,3 @@ def combination_spec(name: str) -> LinearCombinationSpec:
         coeffs = (coeffs[0], 0.0)
         gates.append(ID2.copy())
     return LinearCombinationSpec(tuple(coeffs), tuple(gates))
-
-
-def is_unitary(name: str, atol: float = 1e-9) -> bool:
-    m = gate(name)
-    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol))

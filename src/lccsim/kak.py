@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,16 +109,6 @@ class MagicBasisWork:
     d_imag: np.ndarray
 
 
-def pauli_expand(op: np.ndarray) -> np.ndarray:
-    """Pauli coefficients c with op = sum_m c_m sigma_m (any 2x2 operator)."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise InvalidInputError("pauli expansion needs a 2x2 operator")
-    if np.allclose(op, 0):
-        raise InvalidInputError("zero operator")
-    return np.array([np.trace(p @ op) / 2.0 for p in qcore.PAULIS])
-
-
 def _su2_euler_angles(u: np.ndarray) -> tuple[float, float, float]:
     """Half-angles (d1,d2,d3) of u = exp(-i d1 X) exp(-i d2 Y) exp(-i d3 Z)."""
     # Map to the Bloch rotation and read off intrinsic x-y-z Tait-Bryan angles.
@@ -148,7 +138,7 @@ def pauli_decompose(u: np.ndarray) -> PauliDecomposition:
     det = np.linalg.det(u)
     phase = cmath.sqrt(det)  # principal branch
     us = u / phase
-    alphas = pauli_expand(us)
+    alphas = qcore.pauli_coefficients(us)
     d = _su2_euler_angles(us)
     dec = PauliDecomposition(alphas, d, cmath.phase(phase))
     # the Euler product and the trace projection must agree; if the

@@ -194,16 +194,6 @@ class SendPolicy:
         return entries, np.array(probs)
 
 
-def sample_send(policy: SendPolicy, rng: np.random.Generator
-                ) -> tuple[object, QuantumState]:
-    """Draw one round's label and the pure state actually sent."""
-    entries, probs = policy.outcome_table()
-    idx = int(rng.choice(len(entries), p=probs))
-    label, vec = entries[idx]
-    k = policy.n.bit_length() - 1
-    return label, statevector(vec, dims=(2,) * k if k else (1,))
-
-
 def empirical_server_average(policy: SendPolicy, samples: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Average density matrix the server sees over many sampled rounds."""
@@ -239,18 +229,10 @@ class ServerBehavior:
             raise InvalidInputError("intercept basis must be 'x' or 'z'")
 
 
-def _intercept_basis_vectors(n: int, basis: str) -> np.ndarray:
-    """Columns = measurement basis states on the k-qubit control register."""
-    k = n.bit_length() - 1
-    single = HADAMARD if basis == "x" else np.eye(2, dtype=complex)
-    out = np.eye(1, dtype=complex)
-    for _ in range(k):
-        out = np.kron(out, single)
-    return out if k else np.eye(n, dtype=complex)
-
-
 @dataclass
 class RoundRecord:
+    """One protocol run; every field holds a plain Python value."""
+
     index: int
     kind: str
     verify_index: int | None
@@ -316,6 +298,24 @@ class ProtocolTranscript:
         return "\n".join(lines) + "\n"
 
 
+def _lcc_stage(spec: LinearCombinationSpec, input_state: QuantumState
+               ) -> tuple[float, list[np.ndarray | None]]:
+    """LCC-stage success probability and each normalized V_i psi (None
+    where V_i annihilates psi).
+
+    The server's control is its EPR halves, so the LCC stage sees the
+    uniform mixture of the n subspaces: p_lcc = sum_i |V_i psi|^2 / n^2.
+    """
+    psi = input_state.data
+    outputs = [g @ psi for g in spec.gates]
+    p_lcc = sum(float(np.vdot(v, v).real) for v in outputs) / spec.n ** 2
+    normalized = []
+    for v in outputs:
+        nv = np.linalg.norm(v)
+        normalized.append(v / nv if nv > 1e-300 else None)
+    return p_lcc, normalized
+
+
 def _control_outputs(spec: LinearCombinationSpec, input_state: QuantumState,
                      control: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Postselected output vector and teleport-stage success probability
@@ -328,6 +328,18 @@ def _control_outputs(spec: LinearCombinationSpec, input_state: QuantumState,
     if nrm2 <= 1e-300:
         return None, 0.0
     return w / math.sqrt(nrm2), p_teleport
+
+
+def _intercept_outcomes(spec: LinearCombinationSpec, input_state: QuantumState,
+                        basis: str) -> tuple[np.ndarray, list]:
+    """Intercept basis states on the k-qubit control register (columns)
+    and the `_control_outputs` result of each intercept outcome."""
+    single = HADAMARD if basis == "x" else np.eye(2, dtype=complex)
+    basis_vecs = np.eye(1, dtype=complex)
+    for _ in range(spec.k):
+        basis_vecs = np.kron(basis_vecs, single)
+    return basis_vecs, [_control_outputs(spec, input_state, basis_vecs[:, m])
+                        for m in range(spec.n)]
 
 
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
@@ -347,17 +359,10 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     if input_state.total_dim != spec.d:
         raise qcore.DimensionMismatchError("input dimension mismatch")
 
-    # LCC-stage success (EPR halves as control => uniform subspace mixture)
-    psi = input_state.data
-    p_lcc = sum(float(np.vdot(g @ psi, g @ psi).real)
-                for g in spec.gates) / spec.n ** 2
-    basis_vecs = _intercept_basis_vectors(spec.n, behavior.intercept_basis)
-    expected = {}
-    for i in range(spec.n):
-        v = spec.gates[i] @ psi
-        nv = np.linalg.norm(v)
-        expected[i] = v / nv if nv > 1e-300 else None
-    target = spec.combination() @ psi
+    p_lcc, expected = _lcc_stage(spec, input_state)
+    basis_vecs, intercept_results = _intercept_outcomes(
+        spec, input_state, behavior.intercept_basis)
+    target = spec.combination() @ input_state.data
     target = target / np.linalg.norm(target) if np.linalg.norm(target) > 1e-300 else None
 
     transcript = ProtocolTranscript(n=spec.n, d=spec.d)
@@ -365,8 +370,6 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     # precompute everything per distinct sendable state: (kind, verify
     # index, intercept-outcome CDF, and per-intercept-outcome results)
     entries, send_probs = policy.outcome_table()
-    intercept_results = [_control_outputs(spec, input_state, basis_vecs[:, m])
-                         for m in range(spec.n)]
     table = []
     for label, vec in entries:
         kind = label if isinstance(label, str) else label[0]
@@ -394,14 +397,15 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
             out, p_teleport = intercept_results[m]
         else:
             out, p_teleport = honest
-        completed = p_lcc > 0 and out is not None and u_complete[r] < p_teleport
+        completed = bool(p_lcc > 0 and out is not None
+                         and u_complete[r] < p_teleport)
 
         fidelity = None
         detected = False
         if completed:
             if kind == "verify" and expected[verify_index] is not None:
                 fidelity = float(abs(np.vdot(expected[verify_index], out)) ** 2)
-                detected = u_detect[r] > fidelity
+                detected = bool(u_detect[r] > fidelity)
             elif kind == "compute" and target is not None:
                 fidelity = float(abs(np.vdot(target, out)) ** 2)
         transcript.rounds.append(RoundRecord(
@@ -417,21 +421,19 @@ def intercept_detection_rate(spec: LinearCombinationSpec,
 
     Enumerates verify states |i>, intercept outcomes m, and the
     completion and single-shot check probabilities; compute and decoy
-    rounds never trigger detection.
+    rounds never trigger detection, nor do verify rounds whose V_i
+    annihilates the input (there is no state to check against).
     """
-    basis_vecs = _intercept_basis_vectors(spec.n, behavior.intercept_basis)
-    psi = input_state.data
+    _, expected = _lcc_stage(spec, input_state)
+    basis_vecs, intercept_results = _intercept_outcomes(
+        spec, input_state, behavior.intercept_basis)
     rate = 0.0
-    for i in range(spec.n):
-        vi = spec.gates[i] @ psi
-        vi = vi / np.linalg.norm(vi)
-        for m in range(spec.n):
+    for i, vi in enumerate(expected):
+        if vi is None:
+            continue
+        for m, (out, p_teleport) in enumerate(intercept_results):
             p_m = float(abs(basis_vecs[i, m].conjugate()) ** 2)
-            if p_m == 0.0:
-                continue
-            control = basis_vecs[:, m]
-            out, p_teleport = _control_outputs(spec, input_state, control)
-            if out is None:
+            if p_m == 0.0 or out is None:
                 continue
             miss = 1.0 - float(abs(np.vdot(vi, out)) ** 2)
             rate += policy.p_basis * behavior.intercept_fraction * p_m * p_teleport * miss
@@ -514,8 +516,7 @@ def no_cloning_witness(a_gate: np.ndarray, b_gate: np.ndarray,
 
 
 def success_probability_account(spec: LinearCombinationSpec,
-                                include_input_teleport: bool = False,
-                                include_output_teleport: bool = False) -> float:
+                                include_input_teleport: bool = False) -> float:
     """Analytic whole-scheme success probability for a unitary target.
 
     1/n for the LCC, 1/4 per postselected control-qubit teleport, 1/d^2
@@ -525,8 +526,6 @@ def success_probability_account(spec: LinearCombinationSpec,
     p = (1.0 / spec.n) * (0.25 ** spec.k)
     if include_input_teleport:
         p /= float(spec.d) ** 2
-    if include_output_teleport:
-        p *= 1.0
     return p
 
 
@@ -540,11 +539,8 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
     probabilities come from the exact simulation, not from the analytic
     account being tested.
     """
-    psi = input_state.data
-    p_lcc = sum(float(np.vdot(g @ psi, g @ psi).real)
-                for g in spec.gates) / spec.n ** 2
-    _, p_teleport = _control_outputs(spec, input_state,
-                                     spec.coefficients)
+    p_lcc, _ = _lcc_stage(spec, input_state)
+    _, p_teleport = _control_outputs(spec, input_state, spec.coefficients)
     ok = rng.random(trials) < p_lcc
     ok &= rng.random(trials) < p_teleport
     if include_input_teleport:

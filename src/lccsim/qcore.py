@@ -51,6 +51,14 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol)
 
 
+def pauli_coefficients(op) -> np.ndarray:
+    """Coefficients c with op = sum_m c_m PAULIS[m], for any 2x2 operator."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise InvalidInputError("pauli expansion needs a 2x2 operator")
+    return np.array([np.trace(p @ op) / 2.0 for p in PAULIS])
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """A statevector or density matrix over a tensor-product register.

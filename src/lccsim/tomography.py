@@ -22,11 +22,11 @@ scale that the unit-trace convention fixes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ID2, PAULIS, InvalidInputError
+from .qcore import ID2, PAULIS, InvalidInputError, pauli_coefficients
 
 PREP_LABELS = ("0", "1", "+", "+i")
 BASIS_LABELS = ("X", "Y", "Z")
@@ -57,20 +57,27 @@ def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
     return (ID2 + op) / 2.0, (ID2 - op) / 2.0
 
 
+# Every (prep, basis, outcome) cell of the setting grid, in table order.
+CELLS = tuple((p, b, o) for p in PREP_LABELS for b in BASIS_LABELS
+              for o in (0, 1))
+_CELL_INDEX = {cell: k for k, cell in enumerate(CELLS)}
+_PAULI_STACK = np.array(PAULIS)
+
+# Row k is the C matrix of CELLS[k] = (rho_k, P_k), built once.
+_C_TABLE = np.einsum(
+    "kab,mbc,kcd,nda->knm",
+    np.array([basis_projectors(b)[o] for _p, b, o in CELLS]), _PAULI_STACK,
+    np.array([prep_density(p) for p, _b, _o in CELLS]), _PAULI_STACK)
+_C_TABLE.flags.writeable = False
+
+
 def measurement_matrix(prep: str, basis: str, outcome: int) -> np.ndarray:
-    """Hermitian C with Tr(chi C) = P(outcome | prep, basis)."""
-    rho = prep_density(prep)
-    proj = basis_projectors(basis)[outcome]
-    c = np.empty((4, 4), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            c[n, m] = np.trace(proj @ PAULIS[m] @ rho @ PAULIS[n])
-    return c
-
-
-def all_measurement_matrices() -> dict[tuple[str, str, int], np.ndarray]:
-    return {(p, b, o): measurement_matrix(p, b, o)
-            for p in PREP_LABELS for b in BASIS_LABELS for o in (0, 1)}
+    """Hermitian C with Tr(chi C) = P(outcome | prep, basis) (read-only)."""
+    try:
+        return _C_TABLE[_CELL_INDEX[(prep, basis, outcome)]]
+    except (KeyError, TypeError):
+        raise InvalidInputError(
+            f"unknown measurement cell {(prep, basis, outcome)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -92,21 +99,12 @@ class ChiMatrix:
         object.__setattr__(self, "data", m)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                out += self.data[m, n] * (PAULIS[m] @ rho @ PAULIS[n])
-        return out
+        return np.einsum("mn,mab,bc,ncd->ad", self.data, _PAULI_STACK, rho,
+                         _PAULI_STACK)
 
     def probability(self, prep: str, basis: str, outcome: int) -> float:
         c = measurement_matrix(prep, basis, outcome)
         return float(np.trace(self.data @ c).real)
-
-
-def pauli_coefficients(op: np.ndarray) -> np.ndarray:
-    """Expansion coefficients of a 2x2 operator over {I, X, Y, Z}."""
-    op = np.asarray(op, dtype=complex)
-    return np.array([np.trace(p @ op) / 2.0 for p in PAULIS])
 
 
 def ideal_chi(op: np.ndarray) -> ChiMatrix:
@@ -186,37 +184,31 @@ class TomographyDataset:
         return cls(counts)
 
 
-def setting_rates(chi: ChiMatrix, prep: str, basis: str) -> np.ndarray:
-    """Unnormalized outcome rates Tr(C chi) for one setting.
-
-    For a trace-preserving process these sum to 1; for a postselected
-    one they scale with the detection probability of that preparation.
-    """
-    p = np.array([chi.probability(prep, basis, o) for o in (0, 1)])
-    return np.clip(p, 0.0, None)
-
-
 def simulate_dataset(chi: ChiMatrix, shots: int, rng: np.random.Generator | None,
                      analytic: bool = False) -> TomographyDataset:
     """Counts for the full 4x3 setting grid.
 
     ``shots`` sets the exposure per setting: each outcome count is
     Poisson with mean shots * Tr(C chi) (or exactly that mean in
-    analytic mode), mirroring coincidence counting.
+    analytic mode), mirroring coincidence counting.  For a
+    trace-preserving process a setting's two rates sum to 1; for a
+    postselected one they scale with that preparation's detection
+    probability.
     """
-    counts: dict[tuple[str, str, int], float] = {}
-    for prep in PREP_LABELS:
-        for basis in BASIS_LABELS:
-            rates = shots * setting_rates(chi, prep, basis)
-            if analytic:
-                drawn = rates
-            else:
-                if rng is None:
-                    raise InvalidInputError("sampling requires a generator")
-                drawn = rng.poisson(rates).astype(float)
-            for o in (0, 1):
-                counts[(prep, basis, o)] = float(drawn[o])
-    return TomographyDataset(counts)
+    rates = np.trace(chi.data @ _C_TABLE, axis1=1, axis2=2).real
+    drawn = shots * np.clip(rates, 0.0, None)
+    if not analytic:
+        if rng is None:
+            raise InvalidInputError("sampling requires a generator")
+        drawn = rng.poisson(drawn).astype(float)
+    return TomographyDataset(dict(zip(CELLS, drawn.tolist())))
+
+
+def _setting_cells(dataset: TomographyDataset) -> tuple[list[int], np.ndarray]:
+    """Table rows and counts of both outcomes of every setting present."""
+    cells = [(p, b, o) for (p, b) in dataset.settings() for o in (0, 1)]
+    return ([_CELL_INDEX[c] for c in cells],
+            np.array([dataset.counts.get(c, 0.0) for c in cells]))
 
 
 def linear_inversion(dataset: TomographyDataset) -> np.ndarray:
@@ -230,22 +222,17 @@ def linear_inversion(dataset: TomographyDataset) -> np.ndarray:
     total = dataset.total()
     if total <= 0:
         raise InvalidInputError("dataset is empty")
-    rows = []
-    for (p, b) in dataset.settings():
-        for o in (0, 1):
-            c = measurement_matrix(p, b, o)
-            frac = dataset.counts.get((p, b, o), 0.0) / total
-            # Tr(chi C) = vec(C^T) . vec(chi); last column carries -lambda
-            rows.append(np.concatenate([c.T.reshape(-1), [-frac]]))
-    rows.append(np.concatenate([np.eye(4, dtype=complex).reshape(-1), [0.0]]))
-    a = np.array(rows)
-    y = np.zeros(len(rows), dtype=complex)
-    y[-1] = 1.0  # unit trace
-    big = np.concatenate([np.concatenate([a.real, -a.imag], axis=1),
-                          np.concatenate([a.imag, a.real], axis=1)])
-    rhs = np.concatenate([y.real, y.imag])
-    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    chi = (sol[:16] + 1j * sol[17:33]).reshape(4, 4)
+    rows, counts = _setting_cells(dataset)
+    # Tr(chi C) = vec(C^T) . vec(chi); the last column carries -lambda,
+    # the last row fixes the unit trace
+    a = np.zeros((len(rows) + 1, 17), dtype=complex)
+    a[:-1, :16] = _C_TABLE[rows].transpose(0, 2, 1).reshape(-1, 16)
+    a[:-1, 16] = -counts / total
+    a[-1, :16] = np.eye(4).reshape(-1)
+    y = np.zeros(len(rows) + 1, dtype=complex)
+    y[-1] = 1.0
+    sol = np.linalg.lstsq(a, y, rcond=None)[0]
+    chi = sol[:16].reshape(4, 4)
     chi = (chi + chi.conj().T) / 2.0
     return chi / np.trace(chi).real
 
@@ -257,23 +244,23 @@ def _project_psd_unit_trace(m: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     return out / np.trace(out).real
 
 
+# Cholesky parameter layout: the four real diagonal entries of T, then the
+# real and imaginary parts of each strictly-lower entry in row order.
+_LOWER = np.tril_indices(4, -1)
+
+
+def _pack(diagonal: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    return np.concatenate([diagonal.real,
+                           np.stack([lower.real, lower.imag], axis=1).ravel()])
+
+
 def _t_to_vector(t: np.ndarray) -> np.ndarray:
-    x = [t[i, i].real for i in range(4)]
-    for j in range(1, 4):
-        for i in range(j):
-            x.extend([t[j, i].real, t[j, i].imag])
-    return np.array(x)
+    return _pack(t.diagonal(), t[_LOWER])
 
 
 def _vector_to_t(x: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        t[i, i] = x[i]
-    pos = 4
-    for j in range(1, 4):
-        for i in range(j):
-            t[j, i] = x[pos] + 1j * x[pos + 1]
-            pos += 2
+    t = np.diag(np.asarray(x[:4], dtype=complex))
+    t[_LOWER] = x[4::2] + 1j * x[5::2]
     return t
 
 
@@ -295,35 +282,18 @@ def _gradient(t: np.ndarray, terms) -> tuple[np.ndarray, float]:
     d -= (terms["norm_count"]
           / np.einsum("ij,ji->", terms["norm_mat"], chi).real) * terms["norm_mat"]
     m = (t.conj().T @ d - np.trace(d @ chi).real * t.conj().T) / tau
-    grad = np.zeros(16)
-    for i in range(4):
-        grad[i] = 2.0 * m[i, i].real
-    pos = 4
-    for j in range(1, 4):
-        for i in range(j):
-            grad[pos] = 2.0 * m[i, j].real
-            grad[pos + 1] = -2.0 * m[i, j].imag
-            pos += 2
+    # d/dRe T[j,i] = 2 Re m[i,j] and d/dIm T[j,i] = -2 Im m[i,j]
+    grad = 2.0 * _pack(m.diagonal(), m.T[_LOWER].conj())
     return grad, _log_likelihood(chi, terms)
 
 
 def _likelihood_terms(dataset: TomographyDataset) -> dict:
     """Multinomial model over all cells: p_k = Tr(C_k chi) / Tr(S chi)."""
-    mats = []
-    counts = []
-    s_mat = np.zeros((4, 4), dtype=complex)
-    total = 0.0
-    for (p, b) in dataset.settings():
-        for o in (0, 1):
-            count = dataset.counts.get((p, b, o), 0.0)
-            c_mat = measurement_matrix(p, b, o)
-            s_mat += c_mat
-            total += count
-            if count > 0:
-                mats.append(c_mat)
-                counts.append(count)
-    return {"event_mats": np.array(mats), "event_counts": np.array(counts),
-            "norm_mat": s_mat, "norm_count": total}
+    rows, counts = _setting_cells(dataset)
+    mats = _C_TABLE[rows]
+    seen = counts > 0
+    return {"event_mats": mats[seen], "event_counts": counts[seen],
+            "norm_mat": mats.sum(axis=0), "norm_count": dataset.total()}
 
 
 @dataclass(frozen=True)

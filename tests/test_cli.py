@@ -1,14 +1,19 @@
+import ast
 import json
 import math
 import os
 import subprocess
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lccsim
 from lccsim import cli, gates, lcc, qcore
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(args):
@@ -17,8 +22,7 @@ def run(args):
 
 def run_process(args):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "lccsim.cli", *args],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stderr
@@ -116,6 +120,12 @@ class TestKakCommand:
     def test_random_batch_needs_seed(self):
         assert run(["kak", "--random", "3"]) == 3
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_random_count_not_positive_exit_2(self, count):
+        code, err = run_process(["--seed", "1", "kak", "--random", count])
+        assert code == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestProtocolCommand:
     def test_session_report(self, scenario_file, capsys):
@@ -163,6 +173,34 @@ class TestProtocolCommand:
         path.write_text(json.dumps(doc))
         assert run(["protocol", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        ["operation", "epsilon", "tau", "rounds"],
+        {"operation": ["U2"], "epsilon": 1.0, "tau": 0.5, "rounds": 5,
+         "seed": 1},
+        {"operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": -1,
+         "seed": 1}])
+    def test_malformed_scenario_exit_2(self, tmp_path, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_process(["protocol", str(path)])
+        assert code == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_summary_values_are_literals(self, tmp_path, capsys):
+        path = tmp_path / "intercept.json"
+        path.write_text(json.dumps({
+            "operation": "U12", "epsilon": 0.5, "tau": 0.7, "rounds": 400,
+            "seed": 3, "behavior": "intercept", "intercept_fraction": 0.6}))
+        assert run(["protocol", str(path)]) == 0
+        out = capsys.readouterr().out
+        summary = out.split("# summary\n")[1].splitlines()
+        values = dict(line[2:].split("=", 1) for line in summary)
+        assert set(values) == {"completed", "detections", "empirical_completion",
+                               "kind_counts", "mean_compute_fidelity", "rounds"}
+        parsed = {k: ast.literal_eval(v) for k, v in values.items()}
+        assert parsed["detections"] > 0
+        assert parsed["empirical_completion"] == parsed["completed"] / 400
+
 
 class TestTomographyCommand:
     def test_analytic_table(self, tmp_path, capsys):
@@ -209,3 +247,29 @@ class TestDeterminism:
         assert run(["--seed", "11", "--out", str(a), "kak", "--random", "4"]) == 0
         assert run(["--seed", "11", "--out", str(b), "kak", "--random", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestPackage:
+    def test_cli_path_imports_no_scipy(self, tmp_path, scenario_file):
+        # loading scipy.optimize adds about 47 MB to the peak RSS
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        script = (
+            "import sys\n"
+            "from lccsim import cli\n"
+            "ops, scenario, out = sys.argv[1:]\n"
+            "assert cli.main(['--out', out, 'tomography', ops]) == 0\n"
+            "assert cli.main(['--out', out, 'protocol', scenario]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ops), scenario_file,
+             str(tmp_path / "out.txt")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_version_matches_pyproject(self):
+        text = (SRC.parent / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+        assert lccsim.__version__ == version

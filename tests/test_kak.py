@@ -6,11 +6,12 @@ import pytest
 from conftest import random_statevector
 from lccsim.kak import (DecompositionError, MAGIC, alphas_from_core,
                         alphas_from_k, kak_decompose, lcu_spec_from_kak,
-                        pauli_decompose, pauli_expand, simultaneous_svd,
+                        pauli_decompose, simultaneous_svd,
                         su8_two_term_combine)
 from lccsim.lcc import run_lcc
 from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, SX, SZ,
-                          haar_random_unitary, phase_aligned_distance,
+                          haar_random_unitary, pauli_coefficients,
+                          phase_aligned_distance,
                           statevector, vector_phase_distance)
 
 CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -49,10 +50,12 @@ class TestPauliDecompose:
 
     def test_relaxed_expansion_of_non_unitary(self):
         target = (SX + 1j * SZ) / math.sqrt(2)
-        alphas = pauli_expand(target)
+        alphas = pauli_coefficients(target)
         want = np.array([0, 1 / math.sqrt(2), 0, 1j / math.sqrt(2)])
         assert np.abs(alphas - want).max() < 1e-12
-        assert abs(np.abs(alphas ** 2).sum()) - 1.0 < 1e-12
+        assert abs(np.sum(np.abs(alphas) ** 2) - 1.0) < 1e-12
+        with pytest.raises(InvalidInputError):
+            pauli_coefficients(np.eye(4))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidInputError):

