@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,7 +214,10 @@ class ServerBehavior:
     mode 'honest' follows the protocol; 'intercept' measures each
     incoming control register in ``intercept_basis`` ('x' by default,
     'z' for the do-nothing computational-basis variant) on a fraction
-    ``intercept_fraction`` of rounds.
+    ``intercept_fraction`` of rounds, and the fraction acts in no other
+    mode.  'skip_measurement' is not modelled by `run_session`: its
+    transcript equals the honest one, and its effect is modelled only by
+    `cheating_server_state` and `no_cloning_witness`.
     """
 
     mode: str = "honest"
@@ -242,60 +246,101 @@ class RoundRecord:
     fidelity: float | None
     detected: bool
 
-    def to_line(self) -> str:
-        vi = "-" if self.verify_index is None else str(self.verify_index)
-        fid = "-" if self.fidelity is None else f"{self.fidelity:.12f}"
-        return (f"round={self.index} kind={self.kind} verify_index={vi} "
-                f"intercepted={int(self.intercepted)} lcc_retries={self.lcc_retries} "
-                f"completed={int(self.completed)} fidelity={fid} "
-                f"detected={int(self.detected)}")
+
+class _Cell(NamedTuple):
+    """What every round of one (sent state, server outcome) pair shares."""
+
+    kind: str
+    verify_index: int | None
+    intercepted: bool
+    fidelity: float | None  # of the output, when the round completes
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
-    """Ordered record of one session plus summary statistics."""
+    """One session stored by column: round r fell in ``cells[cell[r]]``,
+    took ``lcc_retries[r]`` LCC attempts, and completed and was detected
+    as ``completed[r]`` and ``detected[r]`` say."""
 
-    rounds: list[RoundRecord] = field(default_factory=list)
-    n: int = 0
-    d: int = 0
+    cells: tuple[_Cell, ...]
+    cell: np.ndarray
+    lcc_retries: np.ndarray
+    completed: np.ndarray
+    detected: np.ndarray
+
+    @property
+    def rounds(self) -> "_RoundView":
+        return _RoundView(self)
 
     @property
     def detection_events(self) -> int:
-        return sum(r.detected for r in self.rounds)
+        return int(np.count_nonzero(self.detected))
 
     @property
     def completed_rounds(self) -> int:
-        return sum(r.completed for r in self.rounds)
-
-    def first_detection_round(self) -> int | None:
-        for r in self.rounds:
-            if r.detected:
-                return r.index
-        return None
+        return int(np.count_nonzero(self.completed))
 
     def summary(self) -> dict:
-        total = len(self.rounds)
+        total = len(self.cell)
         kinds = {}
-        for r in self.rounds:
-            kinds[r.kind] = kinds.get(r.kind, 0) + 1
-        comp = [r for r in self.rounds if r.kind == "compute" and r.completed]
+        for c, count in zip(self.cells, np.bincount(
+                self.cell, minlength=len(self.cells)).tolist()):
+            if count:
+                kinds[c.kind] = kinds.get(c.kind, 0) + count
+        compute_fidelity = np.array([
+            c.fidelity if c.kind == "compute" and c.fidelity is not None
+            else np.nan for c in self.cells])
+        comp = compute_fidelity[self.cell[self.completed]]
+        comp = comp[~np.isnan(comp)].tolist()
         return {
             "rounds": total,
             "completed": self.completed_rounds,
             "detections": self.detection_events,
             "kind_counts": dict(sorted(kinds.items())),
             "empirical_completion": (self.completed_rounds / total) if total else 0.0,
-            "mean_compute_fidelity": (
-                sum(r.fidelity for r in comp) / len(comp) if comp else None),
+            "mean_compute_fidelity": sum(comp) / len(comp) if comp else None,
         }
 
     def to_text(self) -> str:
-        lines = [r.to_line() for r in self.rounds]
+        # one %-template per cell and round outcome (0 failed,
+        # 1 completed, 2 completed and detected), filled with the round
+        # index and its LCC retry count
+        templates = []
+        for c in self.cells:
+            vi = "-" if c.verify_index is None else c.verify_index
+            head = (f"round=%d kind={c.kind} verify_index={vi} "
+                    f"intercepted={int(c.intercepted)} lcc_retries=%d")
+            fid = "-" if c.fidelity is None else f"{c.fidelity:.12f}"
+            templates += [head + " completed=0 fidelity=- detected=0",
+                          head + f" completed=1 fidelity={fid} detected=0",
+                          head + f" completed=1 fidelity={fid} detected=1"]
+        outcome = 3 * self.cell + self.completed + self.detected
+        lines = [templates[t] % (r, k) for r, t, k in zip(
+            range(len(self.cell)), outcome.tolist(), self.lcc_retries.tolist())]
         s = self.summary()
         lines.append("# summary")
-        for key in sorted(s):
-            lines.append(f"# {key}={s[key]!r}")
+        lines += [f"# {key}={s[key]!r}" for key in sorted(s)]
         return "\n".join(lines) + "\n"
+
+
+class _RoundView:
+    """A transcript's rounds as `RoundRecord`s, built only when iterated."""
+
+    def __init__(self, transcript: ProtocolTranscript):
+        self._t = transcript
+
+    def __len__(self) -> int:
+        return len(self._t.cell)
+
+    def __iter__(self):
+        t = self._t
+        for r, (cell, retries, completed, detected) in enumerate(zip(
+                t.cell.tolist(), t.lcc_retries.tolist(), t.completed.tolist(),
+                t.detected.tolist())):
+            c = t.cells[cell]
+            yield RoundRecord(r, c.kind, c.verify_index, c.intercepted, retries,
+                              completed, c.fidelity if completed else None,
+                              detected)
 
 
 def _lcc_stage(spec: LinearCombinationSpec, input_state: QuantumState
@@ -365,53 +410,47 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     target = spec.combination() @ input_state.data
     target = target / np.linalg.norm(target) if np.linalg.norm(target) > 1e-300 else None
 
-    transcript = ProtocolTranscript(n=spec.n, d=spec.d)
-
-    # precompute everything per distinct sendable state: (kind, verify
-    # index, intercept-outcome CDF, and per-intercept-outcome results)
+    # one cell per (sendable state, server outcome): entry e owns cells
+    # e*(n+1) (honest server) and e*(n+1) + 1 + m (intercept outcome m)
     entries, send_probs = policy.outcome_table()
-    table = []
+    cells, p_teleport, audit, cdfs = [], [], [], []
     for label, vec in entries:
         kind = label if isinstance(label, str) else label[0]
         verify_index = label[1] if kind == "verify" else None
+        ref = (expected[verify_index] if kind == "verify"
+               else target if kind == "compute" else None)
         probs = np.abs(basis_vecs.conj().T @ vec) ** 2
         cdf = np.cumsum(probs / probs.sum())
-        honest = _control_outputs(spec, input_state, vec)
-        table.append((kind, verify_index, cdf, honest))
+        # rounding must not let a draw fall past the last possible outcome
+        cdf[np.flatnonzero(probs)[-1]:] = 1.0
+        cdfs.append(cdf)
+        outcomes = [_control_outputs(spec, input_state, vec)] + intercept_results
+        for m, (out, p) in enumerate(outcomes):
+            fidelity = (None if ref is None or out is None
+                        else float(abs(np.vdot(ref, out)) ** 2))
+            cells.append(_Cell(kind, verify_index, m > 0, fidelity))
+            p_teleport.append(p)
+            # a completed verify round is detected when its draw exceeds
+            # the fidelity; no other round ever is
+            audit.append(fidelity if kind == "verify" and fidelity is not None
+                         else np.inf)
 
-    idx_arr = rng.choice(len(entries), size=rounds, p=send_probs)
-    retries_arr = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
-                   else np.zeros(rounds, dtype=int))
-    do_intercept = behavior.mode == "intercept"
-    intercept_arr = (rng.random(rounds) < behavior.intercept_fraction
-                     if do_intercept else np.zeros(rounds, dtype=bool))
+    idx = rng.choice(len(entries), size=rounds, p=send_probs)
+    retries = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
+               else np.zeros(rounds, dtype=int))
+    intercepted = (rng.random(rounds) < behavior.intercept_fraction
+                   if behavior.mode == "intercept" else np.zeros(rounds, dtype=bool))
     u_basis = rng.random(rounds)
     u_complete = rng.random(rounds)
     u_detect = rng.random(rounds)
 
-    for r in range(rounds):
-        kind, verify_index, cdf, honest = table[idx_arr[r]]
-        intercepted = bool(intercept_arr[r])
-        if intercepted:
-            m = int(np.searchsorted(cdf, u_basis[r]))
-            out, p_teleport = intercept_results[m]
-        else:
-            out, p_teleport = honest
-        completed = bool(p_lcc > 0 and out is not None
-                         and u_complete[r] < p_teleport)
-
-        fidelity = None
-        detected = False
-        if completed:
-            if kind == "verify" and expected[verify_index] is not None:
-                fidelity = float(abs(np.vdot(expected[verify_index], out)) ** 2)
-                detected = bool(u_detect[r] > fidelity)
-            elif kind == "compute" and target is not None:
-                fidelity = float(abs(np.vdot(target, out)) ** 2)
-        transcript.rounds.append(RoundRecord(
-            r, kind, verify_index, intercepted, int(retries_arr[r]), completed,
-            fidelity, detected))
-    return transcript
+    cell = idx * (spec.n + 1)
+    for e, cdf in enumerate(cdfs):
+        rows = np.flatnonzero(intercepted & (idx == e))
+        cell[rows] += 1 + np.searchsorted(cdf, u_basis[rows])
+    completed = (u_complete < np.array(p_teleport)[cell]) & (p_lcc > 0)
+    detected = completed & (u_detect > np.array(audit)[cell])
+    return ProtocolTranscript(tuple(cells), cell, retries, completed, detected)
 
 
 def intercept_detection_rate(spec: LinearCombinationSpec,
@@ -422,8 +461,11 @@ def intercept_detection_rate(spec: LinearCombinationSpec,
     Enumerates verify states |i>, intercept outcomes m, and the
     completion and single-shot check probabilities; compute and decoy
     rounds never trigger detection, nor do verify rounds whose V_i
-    annihilates the input (there is no state to check against).
+    annihilates the input (there is no state to check against).  A
+    server that does not intercept is never detected: the rate is 0.
     """
+    if behavior.mode != "intercept":
+        return 0.0
     _, expected = _lcc_stage(spec, input_state)
     basis_vecs, intercept_results = _intercept_outcomes(
         spec, input_state, behavior.intercept_basis)

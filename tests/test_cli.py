@@ -201,6 +201,17 @@ class TestProtocolCommand:
         assert parsed["detections"] > 0
         assert parsed["empirical_completion"] == parsed["completed"] / 400
 
+    @pytest.mark.parametrize("behavior", ["honest", "skip_measurement"])
+    def test_no_detection_rate_without_intercept(self, tmp_path, capsys,
+                                                 behavior):
+        path = tmp_path / "fraction.json"
+        path.write_text(json.dumps({
+            "operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 2000,
+            "seed": 1, "behavior": behavior, "intercept_fraction": 0.8}))
+        assert run(["protocol", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "# detections=0 analytic_detection_rate=0.000000000000\n" in out
+
 
 class TestTomographyCommand:
     def test_analytic_table(self, tmp_path, capsys):

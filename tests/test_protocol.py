@@ -1,7 +1,9 @@
+import ast
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_statevector, random_unitary_combination_spec
 from lccsim import protocol
@@ -22,6 +24,144 @@ def pure_policy(coeffs, epsilon=1.0, tau=0.5):
     c = np.asarray(coeffs, dtype=complex)
     return protocol.SendPolicy(epsilon=epsilon, tau=tau,
                                control_rho=np.outer(c, c.conj()))
+
+
+def reference_session(spec, input_state, policy, behavior, rounds, rng):
+    """The per-round session loop `run_session` replaced: one RoundRecord
+    per round, from the same draws in the same order."""
+    p_lcc, expected = protocol._lcc_stage(spec, input_state)
+    basis_vecs, intercept_results = protocol._intercept_outcomes(
+        spec, input_state, behavior.intercept_basis)
+    target = spec.combination() @ input_state.data
+    target = target / np.linalg.norm(target) if np.linalg.norm(target) > 1e-300 else None
+
+    entries, send_probs = policy.outcome_table()
+    table = []
+    for label, vec in entries:
+        kind = label if isinstance(label, str) else label[0]
+        verify_index = label[1] if kind == "verify" else None
+        probs = np.abs(basis_vecs.conj().T @ vec) ** 2
+        cdf = np.cumsum(probs / probs.sum())
+        honest = protocol._control_outputs(spec, input_state, vec)
+        table.append((kind, verify_index, cdf, honest))
+
+    idx_arr = rng.choice(len(entries), size=rounds, p=send_probs)
+    retries_arr = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
+                   else np.zeros(rounds, dtype=int))
+    do_intercept = behavior.mode == "intercept"
+    intercept_arr = (rng.random(rounds) < behavior.intercept_fraction
+                     if do_intercept else np.zeros(rounds, dtype=bool))
+    u_basis = rng.random(rounds)
+    u_complete = rng.random(rounds)
+    u_detect = rng.random(rounds)
+
+    records = []
+    for r in range(rounds):
+        kind, verify_index, cdf, honest = table[idx_arr[r]]
+        intercepted = bool(intercept_arr[r])
+        if intercepted:
+            m = int(np.searchsorted(cdf, u_basis[r]))
+            out, p_teleport = intercept_results[m]
+        else:
+            out, p_teleport = honest
+        completed = bool(p_lcc > 0 and out is not None
+                         and u_complete[r] < p_teleport)
+
+        fidelity = None
+        detected = False
+        if completed:
+            if kind == "verify" and expected[verify_index] is not None:
+                fidelity = float(abs(np.vdot(expected[verify_index], out)) ** 2)
+                detected = bool(u_detect[r] > fidelity)
+            elif kind == "compute" and target is not None:
+                fidelity = float(abs(np.vdot(target, out)) ** 2)
+        records.append(protocol.RoundRecord(
+            r, kind, verify_index, intercepted, int(retries_arr[r]), completed,
+            fidelity, detected))
+    return records
+
+
+def reference_summary(records):
+    """Summary of `reference_session` records; the mean compute fidelity
+    counts the completed compute rounds that have a fidelity."""
+    total = len(records)
+    kinds = {}
+    for r in records:
+        kinds[r.kind] = kinds.get(r.kind, 0) + 1
+    completed = sum(r.completed for r in records)
+    comp = [r for r in records if r.kind == "compute" and r.completed
+            and r.fidelity is not None]
+    return {
+        "rounds": total,
+        "completed": completed,
+        "detections": sum(r.detected for r in records),
+        "kind_counts": dict(sorted(kinds.items())),
+        "empirical_completion": (completed / total) if total else 0.0,
+        "mean_compute_fidelity": (
+            sum(r.fidelity for r in comp) / len(comp) if comp else None),
+    }
+
+
+def reference_text(records):
+    lines = []
+    for r in records:
+        vi = "-" if r.verify_index is None else str(r.verify_index)
+        fid = "-" if r.fidelity is None else f"{r.fidelity:.12f}"
+        lines.append(f"round={r.index} kind={r.kind} verify_index={vi} "
+                     f"intercepted={int(r.intercepted)} lcc_retries={r.lcc_retries} "
+                     f"completed={int(r.completed)} fidelity={fid} "
+                     f"detected={int(r.detected)}")
+    s = reference_summary(records)
+    lines.append("# summary")
+    for key in sorted(s):
+        lines.append(f"# {key}={s[key]!r}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def session_cases(draw):
+    """A spec, input, policy, behaviour, round count and seed: random
+    n-term specs, a term that annihilates the input, terms that all
+    annihilate it, and a combination that vanishes on it."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    case = draw(st.sampled_from(["random", "random", "annihilating",
+                                 "all annihilating", "vanishing"]))
+    if case == "random":
+        n = draw(st.sampled_from([2, 4]))
+        d = draw(st.sampled_from([2, 4]))
+        spec = random_unitary_combination_spec(n, d, rng)
+        psi = statevector(random_statevector(d, rng))
+    elif case == "annihilating":
+        spec, psi = cu_linear_spec(SX), basis_state((2, 2), (0, 0))
+    elif case == "all annihilating":  # the LCC stage never succeeds
+        p1 = np.diag([0.0, 1.0])
+        spec = LinearCombinationSpec((R2, R2), (p1, p1))
+        psi = basis_state((2,), (0,))
+    else:
+        n = draw(st.sampled_from([2, 4]))
+        spec = LinearCombinationSpec(np.resize([1, -1], n) / math.sqrt(n),
+                                     (ID2,) * n)
+        psi = statevector(random_statevector(2, rng))
+    control = draw(st.sampled_from(["coefficients", "pure", "mixed"]))
+    if control == "coefficients":
+        rho = np.outer(spec.coefficients, spec.coefficients.conj())
+    elif control == "pure":
+        v = random_statevector(spec.n, rng)
+        rho = np.outer(v, v.conj())
+    else:
+        w = rng.random(spec.n)
+        q = haar_random_unitary(spec.n, rng)
+        rho = (q * (w / w.sum())) @ q.conj().T
+    epsilon = draw(st.floats(0.05, 1.0)) / (spec.n - 1)
+    policy = protocol.SendPolicy(epsilon=epsilon, tau=draw(st.floats(0.05, 0.95)),
+                                 control_rho=rho)
+    behavior = protocol.ServerBehavior(
+        mode=draw(st.sampled_from(["honest", "intercept", "skip_measurement"])),
+        intercept_fraction=draw(st.sampled_from([0.0, 1.0, rng.random()])),
+        intercept_basis=draw(st.sampled_from(["x", "z"])))
+    rounds = draw(st.sampled_from([0, 1, int(rng.integers(2, 3001))]))
+    return spec, psi, policy, behavior, rounds, seed
 
 
 class TestTeleportPostselected:
@@ -223,6 +363,26 @@ class TestRunSession:
                                       intercept_basis="z")
         assert protocol.intercept_detection_rate(spec, psi, pol, beh) < 1e-12
 
+    def test_skip_measurement_transcript_is_honest(self):
+        spec, psi = self.spec_and_input()
+        pol = pure_policy(spec.coefficients)
+        texts = {mode: protocol.run_session(
+                    spec, psi, pol,
+                    protocol.ServerBehavior(mode=mode, intercept_fraction=0.5),
+                    500, np.random.default_rng(15)).to_text()
+                 for mode in ("honest", "skip_measurement")}
+        assert texts["honest"] == texts["skip_measurement"]
+
+    @pytest.mark.parametrize("mode", ["honest", "skip_measurement"])
+    def test_no_detection_rate_without_intercept(self, mode):
+        spec, psi = self.spec_and_input()
+        pol = pure_policy(spec.coefficients)
+        beh = protocol.ServerBehavior(mode=mode, intercept_fraction=0.8)
+        assert protocol.intercept_detection_rate(spec, psi, pol, beh) == 0.0
+        tr = protocol.run_session(spec, psi, pol, beh, 2000,
+                                  np.random.default_rng(1))
+        assert tr.detection_events == 0
+
     def test_dimension_mismatch(self):
         spec, _ = self.spec_and_input()
         pol = pure_policy(spec.coefficients)
@@ -230,6 +390,58 @@ class TestRunSession:
             protocol.run_session(spec, basis_state((4,), (0,)), pol,
                                  protocol.ServerBehavior(), 10,
                                  np.random.default_rng(0))
+
+
+class TestColumnarTranscript:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(session_cases())
+    def test_matches_reference_session(self, case):
+        spec, psi, policy, behavior, rounds, seed = case
+        tr = protocol.run_session(spec, psi, policy, behavior, rounds,
+                                  np.random.default_rng(seed))
+        records = reference_session(spec, psi, policy, behavior, rounds,
+                                    np.random.default_rng(seed))
+        assert tr.to_text() == reference_text(records)
+        assert repr(tr.summary()) == repr(reference_summary(records))
+        assert list(tr.rounds) == records
+
+    def session(self, rounds):
+        spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=0.5)
+        return protocol.run_session(spec, basis_state((2,), (0,)),
+                                    pure_policy(spec.coefficients), beh,
+                                    rounds, np.random.default_rng(16))
+
+    def test_zero_rounds_prints_only_the_summary(self):
+        assert self.session(0).to_text() == (
+            "# summary\n# completed=0\n# detections=0\n"
+            "# empirical_completion=0.0\n# kind_counts={}\n"
+            "# mean_compute_fidelity=None\n# rounds=0\n")
+
+    def test_length_and_text_build_no_records(self, monkeypatch):
+        def no_records(*args):
+            raise AssertionError("a RoundRecord was built")
+
+        monkeypatch.setattr(protocol, "RoundRecord", no_records)
+        tr = self.session(700)
+        assert len(tr.rounds) == 700
+        assert tr.to_text().count("\n") == 700 + 7
+        assert tr.summary()["rounds"] == 700
+
+    def test_records_hold_plain_python_values(self):
+        tr = self.session(400)
+        records = list(tr.rounds)
+        assert [rec.index for rec in records] == list(range(400))
+        types = {field: set() for field in vars(records[0])}
+        for rec in records:
+            for field, value in vars(rec).items():
+                types[field].add(type(value))
+                assert ast.literal_eval(repr(value)) == value
+        assert types["index"] == types["lcc_retries"] == {int}
+        assert types["intercepted"] == types["completed"] == {bool}
+        assert types["detected"] == {bool}
+        assert types["fidelity"] == {float, type(None)}
+        assert types["verify_index"] == {int, type(None)}
 
 
 class TestCheatingServer:
