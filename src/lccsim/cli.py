@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 parse failure, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -214,7 +215,15 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
+# each count is Poisson with mean at most shots, and numpy's sampler
+# rejects means above about 9.2e18
+MAX_SHOTS = 10 ** 18
+
+
 def cmd_tomography(args) -> int:
+    if not 0 <= args.shots <= MAX_SHOTS:
+        raise _CliError(EXIT_PARSE, f"--shots must lie between 0 and "
+                                    f"{MAX_SHOTS}, got {args.shots}")
     names = []
     for raw in _read_file(args.operations).splitlines():
         line = raw.strip()
@@ -248,7 +257,9 @@ def cmd_tomography(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lccsim",
         description="Linear-combination remote-control protocol simulator")
@@ -261,18 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lcc = sub.add_parser("lcc", help="run a linear-combination circuit")
     p_lcc.add_argument("spec", help="JSON spec file")
-    p_lcc.set_defaults(func=cmd_lcc)
 
     p_kak = sub.add_parser("kak", help="decompose a two-qubit unitary")
     p_kak.add_argument("matrix", nargs="?", default=None,
                        help="4x4 matrix literal file")
     p_kak.add_argument("--random", type=int, default=None, metavar="N",
                        help="decompose N Haar-random unitaries instead")
-    p_kak.set_defaults(func=cmd_kak)
 
     p_proto = sub.add_parser("protocol", help="simulate a protocol session")
     p_proto.add_argument("scenario", help="JSON scenario file")
-    p_proto.set_defaults(func=cmd_protocol)
 
     p_tomo = sub.add_parser("tomography", help="process-tomography pipeline")
     p_tomo.add_argument("operations", help="file listing operation names")
@@ -283,15 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample counts even without noise")
     p_tomo.add_argument("--resamples", type=int, default=0,
                         help="bootstrap resamples for the std column")
-    p_tomo.set_defaults(func=cmd_tomography)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced `cmd_*` is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

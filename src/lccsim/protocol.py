@@ -302,25 +302,39 @@ class ProtocolTranscript:
         }
 
     def to_text(self) -> str:
-        # one %-template per cell and round outcome (0 failed,
-        # 1 completed, 2 completed and detected), filled with the round
-        # index and its LCC retry count
-        templates = []
+        # after "round=<r>", a line is fixed by its cell, its outcome
+        # (0 failed, 1 completed, 2 completed and detected) and its LCC
+        # retry count: one tail per pair that occurs, ending in the next
+        # line's "round=", and one lookup per line
+        heads, ends = [], []
         for c in self.cells:
             vi = "-" if c.verify_index is None else c.verify_index
-            head = (f"round=%d kind={c.kind} verify_index={vi} "
-                    f"intercepted={int(c.intercepted)} lcc_retries=%d")
+            heads.append(f" kind={c.kind} verify_index={vi} "
+                         f"intercepted={int(c.intercepted)} lcc_retries=")
             fid = "-" if c.fidelity is None else f"{c.fidelity:.12f}"
-            templates += [head + " completed=0 fidelity=- detected=0",
-                          head + f" completed=1 fidelity={fid} detected=0",
-                          head + f" completed=1 fidelity={fid} detected=1"]
+            ends += [" completed=0 fidelity=- detected=0\nround=",
+                     f" completed=1 fidelity={fid} detected=0\nround=",
+                     f" completed=1 fidelity={fid} detected=1\nround="]
         outcome = 3 * self.cell + self.completed + self.detected
-        lines = [templates[t] % (r, k) for r, t, k in zip(
-            range(len(self.cell)), outcome.tolist(), self.lcc_retries.tolist())]
+        # rank the retry counts first, so the pair key stays below
+        # 3 * cells * rounds however large the counts are
+        retries, rank = np.unique(self.lcc_retries, return_inverse=True)
+        pairs, keys = np.unique(outcome * len(retries) + rank,
+                                return_inverse=True)
+        cell_outcome, retry = np.divmod(pairs, len(retries))
+        tails = [heads[o // 3] + str(k) + ends[o] for o, k in zip(
+            cell_outcome.tolist(), retries[retry].tolist())]
+        total = len(self.cell)
+        parts = [None] * (2 * total)
+        parts[::2] = map(str, range(total))
+        parts[1::2] = map(tails.__getitem__, keys.tolist())
+        if total:  # no tail precedes the first line; none follows the last
+            parts[0] = "round=0"
+            parts[-1] = parts[-1][:-len("round=")]
         s = self.summary()
-        lines.append("# summary")
-        lines += [f"# {key}={s[key]!r}" for key in sorted(s)]
-        return "\n".join(lines) + "\n"
+        parts.append("# summary\n")
+        parts += [f"# {key}={s[key]!r}\n" for key in sorted(s)]
+        return "".join(parts)
 
 
 class _RoundView:

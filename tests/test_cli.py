@@ -243,6 +243,51 @@ class TestTomographyCommand:
         ops.write_text("# nothing here\n")
         assert run(["tomography", str(ops)]) == 5
 
+    @pytest.mark.parametrize("shots", ["-5", "100000000000000000000"])
+    def test_shots_out_of_range_exit_2(self, tmp_path, shots):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        for mode in (["--sampled"], []):
+            code, err = run_process(["--seed", "1", "tomography", str(ops),
+                                     "--shots", shots, *mode])
+            assert code == 2
+            assert "Traceback" not in err
+            assert err.count("\n") == 1 and "--shots" in err
+
+    def test_largest_shots_sampled(self, tmp_path, capsys):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        assert run(["--seed", "1", "tomography", str(ops),
+                    "--shots", str(cli.MAX_SHOTS), "--sampled"]) == 0
+        assert float(capsys.readouterr().out.split()[-2]) > 0.999
+
+    def test_zero_shots_exit_3(self, tmp_path):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        code, err = run_process(["--seed", "1", "tomography", str(ops),
+                                 "--shots", "0", "--sampled"])
+        assert code == 3
+        assert err == "error: dataset is empty\n"
+
+
+class TestDispatch:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_replaced_subcommand_is_called(self, scenario_file, tmp_path,
+                                           monkeypatch):
+        out = str(tmp_path / "out.txt")
+        assert run(["--out", out, "protocol", scenario_file]) == 0
+        calls = []
+
+        def spy(args):
+            calls.append(args.scenario)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_protocol", spy)
+        assert run(["--out", out, "protocol", scenario_file]) == 0
+        assert calls == [scenario_file]
+
 
 class TestDeterminism:
     def test_protocol_byte_identical(self, scenario_file, tmp_path):

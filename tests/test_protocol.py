@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,26 @@ class TestColumnarTranscript:
         assert len(tr.rounds) == 700
         assert tr.to_text().count("\n") == 700 + 7
         assert tr.summary()["rounds"] == 700
+
+    def test_huge_retry_counts(self):
+        # p_lcc = 5e-7, so the LCC stage takes about 10^7 attempts a round;
+        # the text must not build a table as long as the largest count
+        spec = LinearCombinationSpec((R2, R2), (1e-3 * ID2, 1e-3 * SX))
+        psi, policy = basis_state((2,), (0,)), pure_policy(spec.coefficients)
+        behavior = protocol.ServerBehavior()
+        tr = protocol.run_session(spec, psi, policy, behavior, 50,
+                                  np.random.default_rng(1))
+        assert tr.lcc_retries.max() > 5_000_000
+        tracemalloc.start()
+        try:
+            text = tr.to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        records = reference_session(spec, psi, policy, behavior, 50,
+                                    np.random.default_rng(1))
+        assert text == reference_text(records)
 
     def test_records_hold_plain_python_values(self):
         tr = self.session(400)
