@@ -56,6 +56,8 @@ def _read_file(path: str) -> str:
 def _require_seed(args) -> np.random.Generator:
     if args.seed is None:
         raise _CliError(EXIT_PRECONDITION, "this subcommand requires --seed")
+    if args.seed < 0:
+        raise _CliError(EXIT_PARSE, f"--seed must be non-negative, got {args.seed}")
     return np.random.default_rng(args.seed)
 
 

@@ -126,6 +126,12 @@ class TestKakCommand:
         assert code == 2
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_negative_seed_exit_2(self):
+        code, err = run_process(["--seed", "-1", "kak", "--random", "2"])
+        assert code == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "--seed" in err
+
 
 class TestProtocolCommand:
     def test_session_report(self, scenario_file, capsys):
@@ -253,6 +259,15 @@ class TestTomographyCommand:
             assert code == 2
             assert "Traceback" not in err
             assert err.count("\n") == 1 and "--shots" in err
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        code, err = run_process(["--seed", "-1", "tomography", str(ops),
+                                 "--sampled"])
+        assert code == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "--seed" in err
 
     def test_largest_shots_sampled(self, tmp_path, capsys):
         ops = tmp_path / "ops.txt"

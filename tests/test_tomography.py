@@ -9,6 +9,51 @@ from lccsim.qcore import InvalidInputError, PAULIS, SX, SZ
 
 ALL_OPS = [f"U{i}" for i in range(1, 13)]
 
+# Log-likelihood reached by the earlier Cholesky-factor gradient ascent
+# (max_iter=3000) on each probe dataset below.
+PROBE_PARENT_LL = {
+    "I": -18156.748137215625, "X": -17415.608218245194,
+    "Y": -18047.623982173725, "Z": -17947.08568407238,
+    "H": -18364.453724636987, "A": -18196.632094371664,
+    "B": -17753.008888498964, "U1": -17835.7303957986,
+    "U2": -17755.3255269961, "U3": -18190.13585937351,
+    "U4": -17673.68138387479, "U5": -18560.761822832323,
+    "U6": -17656.477327811943, "U7": -17942.534278728555,
+    "U8": -18225.39630294667,
+}
+
+
+def probe_datasets():
+    """The first 15 registry gates, depolarized 0.05, 500 shots each."""
+    rng = np.random.default_rng(2017)
+    for name in list(gates.GATES)[:15]:
+        chi = tm.depolarize_chi(tm.ideal_chi(gates.gate(name)), 0.05)
+        yield name, tm.simulate_dataset(chi, 500, rng)
+
+
+def likelihood_and_gradient(dataset, chi):
+    """Log-likelihood of a full-grid dataset at chi and its gradient in
+    chi, written out from the measurement matrices alone."""
+    mats = [tm.measurement_matrix(*cell) for cell in tm.CELLS]
+    norm_mat = sum(mats)
+    norm = np.trace(norm_mat @ chi).real
+    total = dataset.total()
+    ll = -total * math.log(norm)
+    grad = -total / norm * norm_mat
+    for cell, c in zip(tm.CELLS, mats):
+        n = dataset.counts[cell]
+        if n > 0:
+            p = np.trace(c @ chi).real
+            ll += n * math.log(p)
+            grad = grad + n / p * c
+    return ll, grad
+
+
+def optimality_residual(dataset, chi):
+    _, grad = likelihood_and_gradient(dataset, chi)
+    return (np.linalg.eigvalsh(grad)[-1]
+            - np.trace(grad @ chi).real) / dataset.total()
+
 
 class TestChiBasics:
     def test_ideal_chi_rank_one(self):
@@ -94,6 +139,11 @@ class TestSimulateDataset:
             tm.TomographyDataset.from_text("0 W 0 10\n")
         with pytest.raises(InvalidInputError):
             tm.TomographyDataset.from_text("# only comments\n")
+
+    @pytest.mark.parametrize("count", ["inf", "nan", "-1"])
+    def test_non_finite_or_negative_count_rejected(self, count):
+        with pytest.raises(InvalidInputError, match="bad outcome or count"):
+            tm.TomographyDataset.from_text(f"0 Z 0 {count}\n")
 
 
 class TestLinearInversion:
@@ -207,6 +257,96 @@ class TestMle:
             assert abs(grad[i] - numeric) / (abs(numeric) + 1e-9) < 1e-4
 
 
+    def test_chi_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        chi_true = tm.depolarize_chi(tm.ideal_chi(gates.gate("U2")), 0.1)
+        terms = tm._likelihood_terms(tm.simulate_dataset(chi_true, 2000, rng))
+        chi = tm.depolarize_chi(tm.ideal_chi(gates.gate("H")), 0.3).data
+        grad, ll = tm._chi_gradient(chi, terms)
+        assert ll == tm._log_likelihood(chi, terms)
+        h = 1e-6
+        for _ in range(8):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            delta = a + a.conj().T
+            numeric = (tm._log_likelihood(chi + h * delta, terms)
+                       - tm._log_likelihood(chi - h * delta, terms)) / (2 * h)
+            exact = np.trace(grad @ delta).real
+            assert abs(exact - numeric) / abs(numeric) < 1e-4
+
+    def test_projection_onto_unit_trace_psd(self):
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4))
+                            + 1j * rng.normal(size=(4, 4)))
+        m = (q * [0.6, 0.5, 0.0, -1.0]) @ q.conj().T
+        want = (q * [0.55, 0.45, 0.0, 0.0]) @ q.conj().T
+        assert np.abs(tm._project_unit_simplex(m) - want).max() < 1e-12
+        chi = tm.depolarize_chi(tm.ideal_chi(gates.gate("U3")), 0.2).data
+        assert np.abs(tm._project_unit_simplex(chi) - chi).max() < 1e-12
+        for _ in range(20):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = a + a.conj().T
+            proj = tm._project_unit_simplex(m)
+            assert np.linalg.eigvalsh(proj).min() > -1e-12
+            assert np.trace(proj).real == pytest.approx(1.0, abs=1e-12)
+            nearest = np.linalg.norm(m - proj)
+            assert nearest <= np.linalg.norm(
+                m - tm._project_psd_unit_trace(m)) + 1e-12
+            for _ in range(20):
+                b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                other = b @ b.conj().T
+                other /= np.trace(other).real
+                assert nearest <= np.linalg.norm(m - other)
+
+    def test_sampled_probe_optimal(self):
+        for name, ds in probe_datasets():
+            res = tm.reconstruct_mle(ds)
+            assert res.converged, name
+            residual = optimality_residual(ds, res.chi.data)
+            assert residual <= 1e-7, name
+            assert res.gradient_norm == pytest.approx(residual, abs=1e-12)
+            ll, _ = likelihood_and_gradient(ds, res.chi.data)
+            assert ll == pytest.approx(res.log_likelihood, rel=1e-12)
+            assert ll >= PROBE_PARENT_LL[name] - 1e-6 * ds.total(), name
+
+    def test_analytic_every_gate_optimal_at_start(self):
+        # the projected linear inversion is already the maximum
+        for name in gates.GATES:
+            chi_true = tm.ideal_chi(gates.gate(name))
+            ds = tm.simulate_dataset(chi_true, 10000, None, analytic=True)
+            res = tm.reconstruct_mle(ds)
+            assert res.converged, name
+            assert res.iterations <= 2, name
+            assert tm.process_fidelity(res.chi, chi_true) >= 1 - 1e-9, name
+
+    def test_start_does_not_change_the_optimum(self):
+        # a rank-one start gives observed cells zero probability, so the
+        # solver falls back to the floored projection
+        rng = np.random.default_rng(14)
+        chi_true = tm.depolarize_chi(tm.ideal_chi(gates.gate("U2")), 0.05)
+        ds = tm.simulate_dataset(chi_true, 500, rng)
+        total = ds.total()
+        results = [tm.reconstruct_mle(ds, initial=start) for start in
+                   (None, np.eye(4) / 4, tm.ideal_chi(gates.gate("X")).data)]
+        for res in results:
+            assert res.converged
+            assert abs(res.log_likelihood
+                       - results[0].log_likelihood) <= 1e-7 * total
+
+    def test_overflowing_counts_raise(self):
+        ds = tm.TomographyDataset({("0", "Z", 0): 1.7e308,
+                                   ("+", "Y", 0): 1.7e308})
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidInputError, match="no finite likelihood"):
+            tm.reconstruct_mle(ds)
+
+    def test_max_iter_zero_returns_the_start(self):
+        ds = next(probe_datasets())[1]
+        res = tm.reconstruct_mle(ds, max_iter=0)
+        start = tm._project_unit_simplex(tm.linear_inversion(ds))
+        assert res.iterations == 0 and not res.converged
+        assert np.array_equal(res.chi.data, start)
+
+
 class TestNoise:
     def test_depolarize_chi_limits(self):
         chi = tm.ideal_chi(gates.gate("U2"))
@@ -243,6 +383,17 @@ class TestBootstrap:
         assert 0.8 < mean < 1.0
         assert std > 0.0
         assert np.isfinite(std)
+
+
+    @pytest.mark.parametrize("counts", [{("0", "Z", 0): 0.0},
+                                        {("0", "Z", 0): 1.0}])
+    def test_too_few_nonempty_resamples(self, counts):
+        # with seed 0 only one of the two resamples of one count is non-empty
+        rng = np.random.default_rng(0)
+        reference = tm.ideal_chi(gates.gate("I"))
+        with pytest.raises(InvalidInputError, match="two bootstrap resamples"):
+            tm.bootstrap_fidelity(tm.TomographyDataset(counts), reference, 2,
+                                  rng)
 
 
 class TestProcessFidelity:
