@@ -82,9 +82,14 @@ class KakDecomposition:
     global_phase: float = 0.0
 
     def nonlocal_core(self) -> np.ndarray:
-        k1, k2, k3 = self.k_vector
-        from scipy.linalg import expm
-        return expm(-1j * (k1 * _XX + k2 * _YY + k3 * _ZZ))
+        """exp(-i(k1 XX + k2 YY + k3 ZZ)), exponentiated in the magic basis.
+
+        XX, YY and ZZ are MAGIC diag(signs) MAGIC^dagger, so the core is
+        diagonal there.  This is independent of ``alphas_from_k``, which
+        the expansion is checked against.
+        """
+        phases = np.exp(-1j * (_DIAG_SIGNS[:, 1:] @ np.asarray(self.k_vector)))
+        return (MAGIC * phases) @ MAGIC_DAG
 
     def core_combination(self) -> np.ndarray:
         a = self.alphas

@@ -12,13 +12,18 @@ Neither form builds a full-register matrix.  The joint amplitudes are
 reshaped to (control, subspace, d): a controlled subspace swap is a
 permutation of the subspace axis that depends on the control label, and
 the block-diagonal sum is one batched matrix-vector product over the
-term axis.  Memory is O(n^2 d) for the extended circuit, the size of its
-state.  The dense builders ``subspace_swap`` and ``sum_operation`` remain
-for inspection and tests.
+term axis, against the spec's gates held as one read-only (n, d, d)
+stack.  H^(x)k on the control register is k butterflies (a+b, a-b) over
+the control axis and one 1/sqrt(n) scale; the postselected all-zero
+branch is then row 0 of the (control, rest) amplitudes.  Memory is
+O(n^2 d) for the extended circuit, the size of its state.  The dense
+builders ``subspace_swap`` and ``sum_operation`` remain for inspection
+and tests.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,9 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .qcore import (ATOL_STRUCT, HADAMARD, InvalidInputError, QuantumState,
-                    apply_to_subsystems, basis_state, is_unitary,
-                    measure_postselect, statevector, tensor)
+from .qcore import (ATOL_STRUCT, InvalidInputError, QuantumState, is_unitary,
+                    statevector)
+# not called here; bound so that perfbench's tracer and the tests can
+# patch them through this module
+from .qcore import apply_to_subsystems, measure_postselect  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,25 +46,34 @@ class LinearCombinationSpec:
     and the coefficients must be normalized: sum |alpha_j|^2 = 1.
     Per-term unitarity is not required (black boxes allowed); the
     ``all_unitary`` flag records whether every term is unitary.
+
+    The coefficients are copied into a read-only array, and the gates
+    once into the read-only (n, d, d) ``gate_stack``; ``gates`` holds
+    views into it, so the two can never disagree.
     """
 
     coefficients: np.ndarray
     gates: tuple[np.ndarray, ...] = field(repr=False)
+    gate_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alpha = np.asarray(self.coefficients, dtype=complex)
+        alpha = np.array(self.coefficients, dtype=complex)
+        alpha.flags.writeable = False
         object.__setattr__(self, "coefficients", alpha)
-        object.__setattr__(self, "gates",
-                           tuple(np.asarray(g, dtype=complex) for g in self.gates))
         n = len(alpha)
         if n < 1 or (n & (n - 1)) != 0:
             raise InvalidInputError(f"term count {n} is not a power of 2")
         if len(self.gates) != n:
             raise InvalidInputError("one gate per coefficient required")
-        d = self.gates[0].shape[0]
-        for g in self.gates:
-            if g.shape != (d, d):
-                raise InvalidInputError("all gates must be square of equal size")
+        try:
+            stack = np.array(self.gates, dtype=complex)
+        except ValueError:  # ragged: gates of unequal shape
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise InvalidInputError("all gates must be square of equal size")
+        stack.flags.writeable = False
+        object.__setattr__(self, "gate_stack", stack)
+        object.__setattr__(self, "gates", tuple(stack))
         norm = float(np.sum(np.abs(alpha) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(
@@ -73,7 +89,7 @@ class LinearCombinationSpec:
 
     @property
     def d(self) -> int:
-        return self.gates[0].shape[0]
+        return self.gate_stack.shape[1]
 
     @property
     def all_unitary(self) -> bool:
@@ -95,16 +111,25 @@ class LccRunResult:
     pre_measurement_state: QuantumState
 
 
+def _control_dims(spec: LinearCombinationSpec) -> tuple[int, ...]:
+    return (2,) * spec.k if spec.k else (1,)
+
+
 def build_control_state(spec: LinearCombinationSpec) -> QuantumState:
     """k-qubit control state with amplitude alpha_j on basis |j>."""
-    return statevector(spec.coefficients, dims=(2,) * spec.k if spec.k else (1,))
+    return statevector(spec.coefficients, dims=_control_dims(spec))
 
 
+@functools.cache
 def _swap_table(n: int) -> np.ndarray:
-    """(n, n) table whose row c is sigma_c, the swap of subspace labels 0 and c."""
+    """(n, n) table whose row c is sigma_c, the swap of subspace labels 0 and c.
+
+    Cached per n, hence read-only.
+    """
     table = np.tile(np.arange(n), (n, 1))
     table[:, 0] = np.arange(n)
     np.fill_diagonal(table, 0)
+    table.flags.writeable = False
     return table
 
 
@@ -140,23 +165,42 @@ def _check_input(spec: LinearCombinationSpec, input_state: QuantumState):
         raise InvalidInputError("input state must be normalized")
 
 
-def _finish(joint: QuantumState, k: int, d: int) -> LccRunResult:
-    """Hadamard every control qubit, postselect all-zero, slice subspace 0."""
-    for q in range(k):
-        joint = apply_to_subsystems(joint, HADAMARD, [q])
-    outcome = measure_postselect(joint, range(k), (0,) * k)
+def _finish(amps: np.ndarray, spec: LinearCombinationSpec,
+            target_dims: tuple[int, ...]) -> LccRunResult:
+    """Hadamard every control qubit, postselect all-zero, slice subspace 0.
+
+    ``amps`` is the joint state with the control label on axis 0; it is
+    overwritten.  Each control qubit is one butterfly (a+b, a-b) over the
+    pairs of control rows its bit tells apart, the 1/sqrt(2) factors are
+    applied once as 1/sqrt(n), and the all-zero outcome is row 0.
+    """
+    n, d = spec.n, spec.d
+    # C order, so every reshape below is a view of the same buffer
+    rows = np.ascontiguousarray(amps).reshape(n, -1)
+    for q in range(spec.k):
+        # big-endian: control qubit q is axis 1 of this view
+        pairs = rows.reshape(2 ** q, 2, -1)
+        a, b = pairs[:, 0], pairs[:, 1]
+        diff = a - b
+        a += b
+        b[...] = diff
+    rows /= math.sqrt(n)
+    joint = QuantumState("statevector", _control_dims(spec) + target_dims,
+                         rows.reshape(-1))
+    branch = rows[0]
+    p = float(np.vdot(branch, branch).real)
     # probabilities at rounding-noise scale are a vanishing combination
-    if outcome.empty or outcome.probability < qcore.ATOL_STRUCT ** 2:
+    if p < ATOL_STRUCT ** 2:
         return LccRunResult(False, 0.0, None, joint)
-    target = outcome.remainder.data[:d]
     # the postselected branch lives entirely in subspace 0
+    target = branch[:d]
     out = statevector(target / np.linalg.norm(target), dims=(d,))
-    return LccRunResult(True, outcome.probability, out, joint)
+    return LccRunResult(True, p, out, joint)
 
 
 def _apply_blocks(spec: LinearCombinationSpec, amps: np.ndarray) -> np.ndarray:
     """V_j applied to block j of the (..., n, d)-shaped amplitudes."""
-    return np.einsum("sab,...sb->...sa", np.stack(spec.gates), amps)
+    return np.einsum("sab,...sb->...sa", spec.gate_stack, amps)
 
 
 def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
@@ -168,17 +212,17 @@ def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunRes
     reported as a degenerate never-succeeding postselection.
     """
     _check_input(spec, input_state)
-    n, k, d = spec.n, spec.k, spec.d
-    joint = tensor(build_control_state(spec), embed_input(spec, input_state))
-    amps = joint.data.reshape(n, n, d)
+    n, d = spec.n, spec.d
+    # alpha (x) (psi embedded in subspace 0 of the (n*d)-dim target)
+    amps = np.zeros((n, n, d), dtype=complex)
+    amps[:, 0] = np.multiply.outer(spec.coefficients, input_state.data)
     # controlled subspace swaps sum_c |c><c|_C (x) X^(0,c), as a gather:
     # amplitude (c, s) takes the one at (c, sigma_c(s))
     swap = (np.arange(n)[:, None], _swap_table(n))
     amps = _apply_blocks(spec, amps[swap])
     # second pass of the controlled swaps brings every branch back to
     # subspace 0 before the Hadamards (swaps are involutory)
-    amps = amps[swap]
-    return _finish(statevector(amps.reshape(-1), dims=joint.dims), k, d)
+    return _finish(amps[swap], spec, (n * d,))
 
 
 def run_lcc_controlled_form(spec: LinearCombinationSpec,
@@ -188,10 +232,10 @@ def run_lcc_controlled_form(spec: LinearCombinationSpec,
     Agrees with run_lcc on output state and success probability.
     """
     _check_input(spec, input_state)
-    n, k, d = spec.n, spec.k, spec.d
-    joint = tensor(build_control_state(spec), input_state)
-    amps = _apply_blocks(spec, joint.data.reshape(n, d))
-    return _finish(statevector(amps.reshape(-1), dims=joint.dims), k, d)
+    # alpha (x) psi, row j holding alpha_j psi
+    amps = _apply_blocks(spec, np.multiply.outer(spec.coefficients,
+                                                 input_state.data))
+    return _finish(amps, spec, input_state.dims)
 
 
 def lcc_success_probability(spec: LinearCombinationSpec,

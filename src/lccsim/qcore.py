@@ -73,11 +73,12 @@ class QuantumState:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        total = int(np.prod(self.dims))
+        dims = tuple(int(d) for d in self.dims)
+        total = math.prod(dims)
         data = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise InvalidInputError("state has non-finite amplitudes")
         if self.kind == "statevector":
             if data.shape != (total,):
@@ -98,7 +99,7 @@ class QuantumState:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def norm(self) -> float:
@@ -276,11 +277,20 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
         return float(np.real(np.vdot(a.data, b.data @ a.data)))
     if b.kind == "statevector":
         return state_fidelity(b, a)
-    # mixed-mixed: Uhlmann fidelity, used only in diagnostics
-    import scipy.linalg
-    sa = scipy.linalg.sqrtm(a.data)
-    inner = scipy.linalg.sqrtm(sa @ b.data @ sa)
-    return float(np.real(np.trace(inner)) ** 2)
+    # mixed-mixed: Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2, used
+    # only in diagnostics, from two Hermitian eigendecompositions
+    w, v = np.linalg.eigh(a.data)
+    sa = (v * np.sqrt(_noise_floored(w))) @ v.conj().T
+    inner = sa @ b.data @ sa
+    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    return float(np.sum(np.sqrt(_noise_floored(lam))) ** 2)
+
+
+def _noise_floored(evals: np.ndarray) -> np.ndarray:
+    """PSD eigenvalues with those at rounding-noise scale set to zero:
+    sqrt of a zero eigenvalue computed as 1e-16 would add 1e-8."""
+    cut = len(evals) * np.finfo(float).eps * np.abs(evals).max()
+    return np.where(evals > cut, evals, 0.0)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

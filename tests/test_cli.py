@@ -325,20 +325,49 @@ class TestPackage:
         # loading scipy.optimize adds about 47 MB to the peak RSS
         ops = tmp_path / "ops.txt"
         ops.write_text("U2\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(lcc.spec_to_json(gates.combination_spec("U2"),
+                                         qcore.basis_state((2,), (0,))))
         script = (
             "import sys\n"
+            "import lccsim\n"
             "from lccsim import cli\n"
-            "ops, scenario, out = sys.argv[1:]\n"
+            "ops, scenario, spec, out = sys.argv[1:]\n"
             "assert cli.main(['--out', out, 'tomography', ops]) == 0\n"
+            "assert cli.main(['--out', out, '--seed', '3', 'tomography', ops,\n"
+            "                 '--sampled', '--shots', '200', '--noise', '0.05',\n"
+            "                 '--resamples', '2']) == 0\n"
             "assert cli.main(['--out', out, 'protocol', scenario]) == 0\n"
+            "assert cli.main(['--out', out, 'lcc', spec]) == 0\n"
+            "assert cli.main(['--out', out, '--seed', '3', 'kak', '--random', '2']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(ops), scenario_file,
+            [sys.executable, "-c", script, str(ops), scenario_file, str(spec),
              str(tmp_path / "out.txt")],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_with_scipy_unimportable(self):
+        # scipy is not a dependency: the mixed-state fidelity and the KAK
+        # core must not reach for it
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from lccsim import kak, qcore\n"
+            "mixed = qcore.QuantumState('density', (2,), np.eye(2) / 2)\n"
+            "assert abs(qcore.state_fidelity(mixed, mixed) - 1.0) < 1e-12\n"
+            "dec = kak.kak_decompose(np.eye(4)[[0, 1, 3, 2]])\n"
+            "assert np.abs(kak.alphas_from_core(dec.nonlocal_core())\n"
+            "              - dec.alphas).max() < 1e-10\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        text = (SRC.parent / "pyproject.toml").read_text()
+        assert "scipy" not in text
 
     def test_version_matches_pyproject(self):
         text = (SRC.parent / "pyproject.toml").read_text()

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_statevector
-from lccsim.kak import (DecompositionError, MAGIC, alphas_from_core,
-                        alphas_from_k, kak_decompose, lcu_spec_from_kak,
-                        pauli_decompose, simultaneous_svd,
+from lccsim.kak import (DecompositionError, KakDecomposition, MAGIC,
+                        alphas_from_core, alphas_from_k, kak_decompose,
+                        lcu_spec_from_kak, pauli_decompose, simultaneous_svd,
                         su8_two_term_combine)
 from lccsim.lcc import run_lcc
-from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, SX, SZ,
+from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, SX, SY, SZ,
                           haar_random_unitary, pauli_coefficients,
                           phase_aligned_distance,
                           statevector, vector_phase_distance)
@@ -99,6 +99,17 @@ class TestKakDecompose:
             from_k = alphas_from_k(dec.k_vector)
             from_trace = alphas_from_core(dec.nonlocal_core())
             assert np.abs(from_k - from_trace).max() < 1e-10
+
+    def test_nonlocal_core_matches_exponential(self):
+        # reference: exp(-iH) from an eigendecomposition of the Hermitian
+        # generator H = k1 XX + k2 YY + k3 ZZ
+        xx, yy, zz = (np.kron(p, p) for p in (SX, SY, SZ))
+        rng = np.random.default_rng(13)
+        for k in rng.uniform(-2 * math.pi, 2 * math.pi, size=(200, 3)):
+            w, v = np.linalg.eigh(k[0] * xx + k[1] * yy + k[2] * zz)
+            want = (v * np.exp(-1j * w)) @ v.conj().T
+            dec = KakDecomposition(ID2, ID2, ID2, ID2, tuple(k), alphas_from_k(k))
+            assert np.abs(dec.nonlocal_core() - want).max() < 1e-12
 
     def test_locals_unitary(self):
         dec = kak_decompose(haar_random_unitary(4, np.random.default_rng(4)))

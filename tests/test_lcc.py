@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary_combination_spec, random_statevector
-from lccsim import gates
+from lccsim import gates, lcc, qcore
 from lccsim.lcc import (LinearCombinationSpec, build_control_state,
                         cu_linear_spec, embed_input, lcc_success_probability,
                         run_lcc, run_lcc_controlled_form, spec_from_json,
@@ -28,6 +28,43 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             LinearCombinationSpec((1.0, 0.0, 0.0),
                                   (ID2, SX, SZ))
+
+    def test_gates_of_unequal_shape(self):
+        with pytest.raises(InvalidInputError):
+            LinearCombinationSpec((R2, R2), (ID2, np.eye(3)))
+
+    def test_non_square_gate(self):
+        with pytest.raises(InvalidInputError):
+            LinearCombinationSpec((R2, R2), (np.ones((2, 3)), np.ones((2, 3))))
+        with pytest.raises(InvalidInputError):
+            LinearCombinationSpec((R2, R2), (np.ones(2), np.ones(2)))
+
+    def test_gate_count_must_match_coefficients(self):
+        with pytest.raises(InvalidInputError):
+            LinearCombinationSpec((R2, R2), (ID2,))
+        with pytest.raises(InvalidInputError):
+            LinearCombinationSpec((R2, R2), (ID2, SX, SZ))
+
+    def test_gates_are_read_only_views_of_one_stack(self):
+        spec = LinearCombinationSpec((R2, R2), (ID2, SX))
+        with pytest.raises(ValueError):
+            spec.gates[0][0, 0] = 2.0
+        with pytest.raises(ValueError):
+            spec.coefficients[0] = 1.0
+        assert spec.gate_stack.shape == (2, 2, 2)
+        for g, s in zip(spec.gates, spec.gate_stack):
+            assert np.shares_memory(g, spec.gate_stack)
+            assert np.array_equal(g, s)
+
+    def test_caller_arrays_copied(self):
+        alpha = np.array([R2, R2], dtype=complex)
+        x = SX.copy()
+        spec = LinearCombinationSpec(alpha, (ID2, x))
+        x[0, 0] = 5.0
+        alpha[0] = 1.0
+        assert np.array_equal(spec.gates[1], SX)
+        assert np.array_equal(spec.gate_stack[1], SX)
+        assert np.array_equal(spec.coefficients, [R2, R2])
 
     def test_unitarity_flag(self):
         assert LinearCombinationSpec((R2, R2), (ID2, SX)).all_unitary
@@ -185,6 +222,36 @@ def dense_run_lcc(spec, psi):
     return pre, p, branch[:d] / np.linalg.norm(branch[:d])
 
 
+def dense_run_controlled_form(spec, psi):
+    """Reference controlled-gate circuit (H^(x)k (x) I)(sum_j |j><j| (x) V_j)
+    applied to alpha (x) psi, with the same returns as dense_run_lcc."""
+    n, k, d = spec.n, spec.k, spec.d
+    joint = np.kron(spec.coefficients, psi)
+    select = sum(np.kron(np.diag(np.eye(n)[j]), g)
+                 for j, g in enumerate(spec.gates))
+    hadamards = np.ones((1, 1))
+    for _ in range(k):
+        hadamards = np.kron(hadamards, HADAMARD)
+    pre = np.kron(hadamards, np.eye(d)) @ select @ joint
+    branch = pre[:d]
+    return pre, float(np.vdot(branch, branch).real), branch / np.linalg.norm(branch)
+
+
+# (I - I)/sqrt(2): every branch cancels on the all-zero control outcome
+VANISHING = LinearCombinationSpec((R2, -R2), (ID2, ID2))
+
+
+def check_vanishing(form, dense):
+    psi = random_statevector(2, np.random.default_rng(14))
+    pre, p, _ = dense(VANISHING, psi)
+    res = form(VANISHING, statevector(psi))
+    assert p < 1e-24
+    assert not res.success
+    assert res.success_probability == 0.0
+    assert res.output_state is None
+    assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+
+
 class TestRunLccMatchesDenseCircuit:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -203,6 +270,52 @@ class TestRunLccMatchesDenseCircuit:
         assert res.success
         assert abs(res.success_probability - p) < 1e-12
         assert np.abs(res.output_state.data - out).max() < 1e-12
+
+    def test_vanishing_combination(self):
+        check_vanishing(run_lcc, dense_run_lcc)
+
+
+class TestControlledFormMatchesDenseCircuit:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_spec(self, n, d):
+        rng = np.random.default_rng(200 * n + d)
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        spec = LinearCombinationSpec(
+            alpha / np.linalg.norm(alpha),
+            tuple(haar_random_unitary(d, rng) for _ in range(n)))
+        psi = random_statevector(d, rng)
+        pre, p, out = dense_run_controlled_form(spec, psi)
+        res = run_lcc_controlled_form(spec, statevector(psi))
+        assert (res.pre_measurement_state.dims
+                == build_control_state(spec).dims + (d,))
+        assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+        assert res.success
+        assert abs(res.success_probability - p) < 1e-12
+        assert np.abs(res.output_state.data - out).max() < 1e-12
+
+    def test_vanishing_combination(self):
+        check_vanishing(run_lcc_controlled_form, dense_run_controlled_form)
+
+
+class TestArrayPath:
+    def test_circuits_skip_per_qubit_apply_and_postselect(self, monkeypatch):
+        def per_qubit_path(*args, **kwargs):
+            raise AssertionError("the per-qubit qcore path was taken")
+
+        for module in (lcc, qcore):
+            monkeypatch.setattr(module, "apply_to_subsystems", per_qubit_path)
+            monkeypatch.setattr(module, "measure_postselect", per_qubit_path)
+        rng = np.random.default_rng(15)
+        spec = random_unitary_combination_spec(8, 2, rng)
+        psi = statevector(random_statevector(2, rng))
+        direct = spec.combination() @ psi.data
+        for form in (run_lcc, run_lcc_controlled_form):
+            res = form(spec, psi)
+            assert res.success
+            assert abs(res.success_probability - 1.0 / 8) < 1e-12
+            assert vector_phase_distance(res.output_state.data,
+                                         direct / np.linalg.norm(direct)) < 1e-10
 
 
 class TestRunLccAtScale:

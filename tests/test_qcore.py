@@ -189,6 +189,43 @@ class TestStateFidelity:
         assert state_fidelity(a, rho) == pytest.approx(state_fidelity(rho, a))
 
 
+def _random_density(d, rng):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _mixed_pairs():
+    """(label, a, b, fidelity) with the fidelity of the float64 inputs
+    computed at 60 significant digits (mpmath, eigendecompositions)."""
+    rng = np.random.default_rng(2026)
+    pairs = [(f"full-rank d={d}", _random_density(d, rng), _random_density(d, rng))
+             for d in (2, 3, 4)]
+    # exact zeros outside overlapping supports of rank 2 and rank 3
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = _random_density(2, rng)
+    b = np.zeros((4, 4), dtype=complex)
+    b[1:, 1:] = _random_density(3, rng)
+    pairs.append(("rank-deficient", a, b))
+    # every entry of |v><v| is exact, so the input has rank exactly one
+    v = np.array([0.5, 0.5, 0.5j, 0.5])
+    pairs.append(("pure", np.outer(v, v.conj()), _random_density(4, rng)))
+    pairs.append(("maximally mixed", np.eye(4) / 4, np.eye(4) / 4))
+    want = (0.7897689842908995, 0.5122089214041297, 0.7532150104250888,
+            0.1209205182828867, 0.29844284751137873, 1.0)
+    return [(*pair, f) for pair, f in zip(pairs, want)]
+
+
+class TestMixedFidelity:
+    @pytest.mark.parametrize("label, a, b, want", _mixed_pairs(),
+                             ids=[p[0] for p in _mixed_pairs()])
+    def test_pinned(self, label, a, b, want):
+        d = a.shape[0]
+        sa, sb = QuantumState("density", (d,), a), QuantumState("density", (d,), b)
+        assert abs(state_fidelity(sa, sb) - want) < 1e-10
+        assert abs(state_fidelity(sb, sa) - want) < 1e-10
+
+
 class TestHaarRandomUnitary:
     def test_scalar(self):
         u = haar_random_unitary(1, np.random.default_rng(5))
