@@ -2,13 +2,15 @@
 
 A two-qubit unitary factors as (U1 x V1) UD (U2 x V2) with the nonlocal
 core UD = exp(-i(k1 XX + k2 YY + k3 ZZ)).  In the magic basis the local
-factors become real orthogonal matrices, so the factorization reduces to
-a simultaneous singular value decomposition of the real and imaginary
-parts of the basis-changed input.  Expanding UD over {II, XX, YY, ZZ}
-yields the four-term linear combination driven by the lcc module.
+factors become real orthogonal matrices L, R and the core a diagonal D,
+so U' = L D R^T; R diagonalizes the symmetric unitary M = U'^T U' =
+R D^2 R^T (Kraus and Cirac, PRA 63, 062309, 2001).  Expanding UD over
+{II, XX, YY, ZZ} yields the four-term linear combination driven by the
+lcc module.
 
 No Weyl-chamber canonicalization is applied: the k-vector is whatever
-the SVD produces, and only exact recombination is promised.
+the eigendecomposition produces, and only exact recombination is
+promised.
 """
 
 from __future__ import annotations
@@ -42,13 +44,19 @@ _DIAG_SIGNS = np.column_stack([
     np.real(np.diag(MAGIC_DAG @ _YY @ MAGIC)),
     np.real(np.diag(MAGIC_DAG @ _ZZ @ MAGIC)),
 ])
+# (cos t, sin t) for seven evenly spread directions t in [0, pi), tried in
+# order by simultaneous_svd; at most six of them can fail on one input.
+# The half-step offset keeps t = 0 out: it merges every conjugate pair
+# e^(+-i p) of M's spectrum, as CNOT's (-i, -i, i, i) has.
+_EIGH_DIRECTIONS = tuple((math.cos(t), math.sin(t))
+                         for t in (math.pi * (j + 0.5) / 7 for j in range(7)))
 
 
 class DecompositionError(RuntimeError):
-    """Simultaneous diagonalization failed after degeneracy handling."""
+    """A factorization did not diagonalize or did not recombine to its input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliDecomposition:
     """Single-qubit gate as alpha0 I + alpha1 X + alpha2 Y + alpha3 Z.
 
@@ -69,7 +77,7 @@ class PauliDecomposition:
         return cmath.exp(1j * self.global_phase) * self.combination()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KakDecomposition:
     """(U1 x V1) UD (U2 x V2) record with the UD expansion coefficients."""
 
@@ -102,12 +110,10 @@ class KakDecomposition:
             left @ self.core_combination() @ right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagicBasisWork:
-    """Intermediate factors of the magic-basis simultaneous SVD."""
+    """Real orthogonal L, R and the diagonals L^T A R, L^T B R."""
 
-    u_real: np.ndarray
-    u_imag: np.ndarray
     left: np.ndarray
     right: np.ndarray
     d_real: np.ndarray
@@ -146,50 +152,25 @@ def pauli_decompose(u: np.ndarray) -> PauliDecomposition:
     alphas = qcore.pauli_coefficients(us)
     d = _su2_euler_angles(us)
     dec = PauliDecomposition(alphas, d, cmath.phase(phase))
-    # the Euler product and the trace projection must agree; if the
-    # rotation extraction landed on the conjugate branch, flip it
+    # the trace projection must recombine to u; a mismatch is reported,
+    # never repaired
     if qcore.phase_aligned_distance(dec.reconstruct(), u) > 1e-9:
         raise DecompositionError("single-qubit decomposition failed to close")
     return dec
 
 
-def _joint_diagonalize(u_real: np.ndarray, u_imag: np.ndarray,
-                       group_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """One attempt at orthogonal L, R with both L^T A R and L^T B R diagonal."""
-    left, svals, right_h = np.linalg.svd(u_real)
-    right = right_h.T
-    # group (near-)equal singular values; the second matrix is symmetric
-    # and block-diagonal on those groups
-    groups = []
-    start = 0
-    for i in range(1, 5):
-        if i == 4 or abs(svals[i] - svals[start]) > group_tol:
-            groups.append(list(range(start, i)))
-            start = i
-    b = left.T @ u_imag @ right
-    for g in groups:
-        idx = np.ix_(g, g)
-        if svals[g[0]] > group_tol:
-            block = b[idx]
-            block = (block + block.T) / 2.0
-            _, w = np.linalg.eigh(block)
-            left[:, g] = left[:, g] @ w
-            right[:, g] = right[:, g] @ w
-        else:
-            # zero block of A: diagonalize B there with an ordinary SVD
-            w1, _, w2h = np.linalg.svd(b[idx])
-            left[:, g] = left[:, g] @ w1
-            right[:, g] = right[:, g] @ w2h.T
-    return left, right
-
-
 def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
-    """Simultaneous SVD of the real/imaginary parts of a magic-basis unitary.
+    """Orthogonal L, R with L^T A R and L^T B R diagonal, for A + iB unitary.
 
     Preconditions (consequences of unitarity) are asserted: A B^T must be
-    symmetric and A^T A + B^T B = I.  Degenerate singular-value subspaces
-    are re-diagonalized on the second matrix; failure is reported, never
-    silent.
+    symmetric and A^T A + B^T B = I.  M = U^T U is then symmetric and
+    unitary, so Re M and Im M commute and share a real orthonormal
+    eigenbasis R, found by one ``eigh`` of cos(t) Re M + sin(t) Im M; L is
+    U R (R^T M R)^(-1/2).  A direction t merges two distinct eigenvalues
+    e^(i p), e^(i q) of M exactly when p + q = 2t (mod 2 pi), and M's six
+    eigenvalue pairs can spoil at most six directions, so one of the seven
+    in ``_EIGH_DIRECTIONS`` always separates them.  Failure is reported,
+    never silent.
     """
     a = np.real(np.asarray(u_real, dtype=float))
     b = np.real(np.asarray(u_imag, dtype=float))
@@ -199,18 +180,18 @@ def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
         raise InvalidInputError("A B^T is not symmetric: input not a unitary image")
     if not np.allclose(a.T @ a + b.T @ b, np.eye(4), atol=1e-9):
         raise InvalidInputError("A^T A + B^T B != I: input not a unitary image")
-    best = None
-    for tol in (1e-11, 1e-8, 1e-6, 1e-4, 1e-2):
-        left, right = _joint_diagonalize(a, b, tol)
-        dr = left.T @ a @ right
-        di = left.T @ b @ right
-        residual = max(np.abs(dr - np.diag(np.diag(dr))).max(),
-                       np.abs(di - np.diag(np.diag(di))).max())
-        if best is None or residual < best[0]:
-            best = (residual, left, right, dr, di)
-        if residual < 1e-10:
+    u = a + 1j * b
+    m = u.T @ u
+    for c, s in _EIGH_DIRECTIONS:
+        _, right = np.linalg.eigh(c * m.real + s * m.imag)
+        d2 = right.T @ m @ right
+        if np.abs(d2 - np.diag(np.diag(d2))).max() <= 1e-12:
             break
-    residual, left, right, dr, di = best
+    left = ((u @ right) / np.sqrt(np.diag(d2))).real
+    dr = left.T @ a @ right
+    di = left.T @ b @ right
+    residual = max(np.abs(dr - np.diag(np.diag(dr))).max(),
+                   np.abs(di - np.diag(np.diag(di))).max())
     if residual > 1e-8:
         raise DecompositionError(
             f"simultaneous diagonalization residual {residual:.3e}")
@@ -227,7 +208,7 @@ def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
         right[:, j] *= -1.0
     dr = left.T @ a @ right
     di = left.T @ b @ right
-    return MagicBasisWork(a, b, left, right, np.diag(np.diag(dr)),
+    return MagicBasisWork(left, right, np.diag(np.diag(dr)),
                           np.diag(np.diag(di)))
 
 

@@ -38,7 +38,7 @@ from .qcore import (ATOL_STRUCT, InvalidInputError, QuantumState, is_unitary,
 from .qcore import apply_to_subsystems, measure_postselect  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCombinationSpec:
     """Coefficients alpha_j and gates V_j defining sum_j alpha_j V_j.
 
@@ -54,7 +54,7 @@ class LinearCombinationSpec:
 
     coefficients: np.ndarray
     gates: tuple[np.ndarray, ...] = field(repr=False)
-    gate_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    gate_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.array(self.coefficients, dtype=complex)

@@ -126,7 +126,7 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     return rho_m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SendPolicy:
     """Per-round sending distribution over control, decoy, and verify states."""
 

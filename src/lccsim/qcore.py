@@ -59,7 +59,7 @@ def pauli_coefficients(op) -> np.ndarray:
     return np.array([np.trace(p @ op) / 2.0 for p in PAULIS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """A statevector or density matrix over a tensor-product register.
 

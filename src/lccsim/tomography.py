@@ -84,7 +84,7 @@ def measurement_matrix(prep: str, basis: str, outcome: int) -> np.ndarray:
             f"unknown measurement cell {(prep, basis, outcome)!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiMatrix:
     """Unit-trace positive process matrix in the Pauli basis."""
 

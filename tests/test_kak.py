@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_statevector
 from lccsim.kak import (DecompositionError, KakDecomposition, MAGIC,
-                        alphas_from_core, alphas_from_k, kak_decompose,
+                        MAGIC_DAG, _EIGH_DIRECTIONS, alphas_from_core, alphas_from_k, kak_decompose,
                         lcu_spec_from_kak, pauli_decompose, simultaneous_svd,
                         su8_two_term_combine)
 from lccsim.lcc import run_lcc
@@ -15,6 +15,37 @@ from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, SX, SY, SZ,
                           statevector, vector_phase_distance)
 
 CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+NAMED_GATES = {
+    "I": np.eye(4, dtype=complex),
+    "CNOT": CNOT,
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+    "SWAP": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+    "iSWAP": np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0],
+                       [0, 0, 0, 1]]),
+}
+EPSILONS = (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+
+
+def _perturbed(u, eps, rng):
+    """exp(i eps H) u with H a random Hermitian of unit spectral norm."""
+    if eps == 0.0:
+        return u
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, q = np.linalg.eigh((h + h.conj().T) / 2)
+    w = w / np.abs(w).max()
+    return (q * np.exp(1j * eps * w)) @ q.conj().T @ u
+
+
+def _random_so4(rng):
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1.0
+    return q
+
+
+def _round_trip_residual(u):
+    return phase_aligned_distance(kak_decompose(u).reconstruct(), u)
 
 
 class TestPauliDecompose:
@@ -119,6 +150,76 @@ class TestKakDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises((InvalidInputError, DecompositionError)):
             kak_decompose(np.ones((4, 4), dtype=complex))
+
+
+class TestKakRobustness:
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_perturbed_product_gates(self, eps):
+        rng = np.random.default_rng(20)
+        for _ in range(32):
+            u = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            assert _round_trip_residual(_perturbed(u, eps, rng)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("name", sorted(NAMED_GATES))
+    def test_perturbed_named_gates(self, name, eps):
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            u = _perturbed(NAMED_GATES[name], eps, rng)
+            assert _round_trip_residual(u) <= 1e-12
+
+    @staticmethod
+    def _spoiled_directions(phases, rng):
+        """Gate MAGIC O1 diag(e^(i phases/2)) O2 MAGIC^dagger, and how many
+        eigh directions merge two distinct eigenvalues of its M = U'^T U'."""
+        core = _random_so4(rng) * np.exp(0.5j * np.asarray(phases))
+        o2 = _random_so4(rng)
+        u = MAGIC @ core @ o2 @ MAGIC_DAG
+        m = (core @ o2).T @ (core @ o2)
+        spoiled = 0
+        for c, s in _EIGH_DIRECTIONS:
+            w = np.linalg.eigvalsh(c * m.real + s * m.imag)
+            spoiled += bool(np.diff(w).min() < 1e-9)
+        return u, spoiled
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_direction_coincidence(self, j):
+        # one eigenphase pair sums to 2 t_j, the other to -2 t_j
+        c, s = _EIGH_DIRECTIONS[j]
+        t = math.atan2(s, c)
+        rng = np.random.default_rng(22 + j)
+        for _ in range(10):
+            dp, dq = rng.uniform(0.2, 1.0, size=2)
+            u, spoiled = self._spoiled_directions(
+                [t + dp, t - dp, -t + dq, -t - dq], rng)
+            assert spoiled >= 1
+            assert _round_trip_residual(u) <= 1e-12
+
+    def test_six_spoiled_directions(self):
+        # pairs (0, k) sum to 2 t_0, 2 t_1, 2 t_2 and the phases sum to
+        # zero; the other three pairs then spoil three more directions,
+        # leaving exactly one that separates M's eigenvalues
+        t = [math.atan2(s, c) for c, s in _EIGH_DIRECTIONS[:3]]
+        p0 = sum(t)
+        phases = [p0] + [2 * tk - p0 for tk in t]
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            u, spoiled = self._spoiled_directions(phases, rng)
+            assert spoiled == 6
+            assert _round_trip_residual(u) <= 1e-12
+
+    def test_repeat_calls_bit_identical(self):
+        rng = np.random.default_rng(26)
+        inputs = [haar_random_unitary(4, rng), CNOT,
+                  _perturbed(np.kron(haar_random_unitary(2, rng),
+                                     haar_random_unitary(2, rng)), 1e-8, rng)]
+        for u in inputs:
+            first, second = kak_decompose(u), kak_decompose(u)
+            for name in ("u1", "v1", "u2", "v2", "alphas"):
+                assert (getattr(first, name).tobytes()
+                        == getattr(second, name).tobytes())
+            assert first.k_vector == second.k_vector
+            assert first.global_phase == second.global_phase
 
 
 class TestSimultaneousSvd:
