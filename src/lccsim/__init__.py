@@ -21,10 +21,10 @@ from .kak import (DecompositionError, KakDecomposition, PauliDecomposition,
                   lcu_spec_from_kak, pauli_decompose, simultaneous_svd,
                   su8_two_term_combine)
 from .gates import A_GATE, B_GATE, COMBINATIONS, GATES, combination_spec, gate
-from .protocol import (ChannelSet, ProtocolTranscript, RoundRecord,
-                       SendPolicy, ServerBehavior, WitnessReport,
-                       cheating_server_state, empirical_server_average,
-                       epr_pair, intercept_detection_rate, make_decoy,
+from .protocol import (ProtocolTranscript, RoundRecord, SendPolicy,
+                       ServerBehavior, WitnessReport, cheating_server_state,
+                       empirical_server_average, epr_pair,
+                       intercept_detection_rate, make_decoy,
                        monte_carlo_success, no_cloning_witness, run_session,
                        schmidt_rank, success_probability_account,
                        teleport_corrected, teleport_postselected,

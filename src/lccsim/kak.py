@@ -126,14 +126,13 @@ def _su2_euler_angles(u: np.ndarray) -> tuple[float, float, float]:
     paulis = (SX, SY, SZ)
     rot = np.array([[np.real(np.trace(si @ u @ sj @ u.conj().T)) / 2.0
                      for sj in paulis] for si in paulis])
-    t2 = math.asin(max(-1.0, min(1.0, rot[0, 2])))
-    if abs(abs(rot[0, 2]) - 1.0) < 1e-12:
-        # gimbal lock: fold the z rotation into the x one
-        t1 = math.atan2(rot[1, 0], rot[1, 1])
-        t3 = 0.0
-    else:
-        t3 = math.atan2(-rot[0, 1], rot[0, 0])
-        t1 = math.atan2(-rot[1, 2], rot[2, 2])
+    # Branch-free, also at gimbal lock: undo the x rotation that zeroes
+    # rot[1, 2], then read the y and z angles off what remains.
+    t1 = math.atan2(-rot[1, 2], rot[2, 2])
+    c, s = math.cos(t1), math.sin(t1)
+    rest = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]) @ rot
+    t2 = math.atan2(rest[0, 2], rest[2, 2])
+    t3 = math.atan2(rest[1, 0], rest[1, 1])
     return (t1 / 2.0, t2 / 2.0, t3 / 2.0)
 
 

@@ -37,21 +37,6 @@ def epr_pair() -> QuantumState:
     return statevector(np.array([1, 0, 0, 1]) / math.sqrt(2), dims=(2, 2))
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """EPR channel bookkeeping for one session."""
-
-    control_pairs: int
-    input_pairs: int
-    output_pairs: int
-
-    @classmethod
-    def for_task(cls, n: int, d: int) -> "ChannelSet":
-        k = n.bit_length() - 1
-        logd = max(d - 1, 1).bit_length()
-        return cls(k, logd, logd)
-
-
 def teleport_postselected(state: QuantumState, source: int,
                           epr: tuple[int, int]) -> qcore.MeasurementOutcome:
     """Bell-measure (source, epr[0]) and keep only the (0,0) outcome.
@@ -111,12 +96,16 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     """Decoy state rho_m = ((1+eps)/n) I - eps rho.
 
     Mixing the control with its decoy at odds eps : 1 yields the
-    maximally mixed state, hiding the control from the server.
+    maximally mixed state, hiding the control from the server.  Any
+    eps > 0 is valid for n = 1, where the decoy is [[1]].
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise InvalidInputError(f"control state must be {n}x{n}")
-    if not (0.0 < epsilon <= 1.0 / (n - 1)):
+    if n == 1:
+        if not epsilon > 0.0:
+            raise InvalidInputError("epsilon must be positive")
+    elif not (0.0 < epsilon <= 1.0 / (n - 1)):
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
     rho_m = ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
@@ -590,19 +579,17 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
                         include_input_teleport: bool = False) -> float:
     """Empirical whole-scheme success rate over independent protocol attempts.
 
-    Each trial samples every postselection stage once: the input-qubit
-    teleports, one LCC attempt, and the control-qubit teleports.  Stage
-    probabilities come from the exact simulation, not from the analytic
-    account being tested.
+    Each trial samples every postselection stage once: the input
+    teleport (one generalized Bell outcome of d^2), one LCC attempt, and
+    the control-qubit teleports.  The LCC and control stages come from
+    the exact simulation, not from the analytic account being tested.
     """
     p_lcc, _ = _lcc_stage(spec, input_state)
     _, p_teleport = _control_outputs(spec, input_state, spec.coefficients)
     ok = rng.random(trials) < p_lcc
     ok &= rng.random(trials) < p_teleport
     if include_input_teleport:
-        logd = spec.d.bit_length() - 1
-        for _ in range(logd):
-            ok &= rng.random(trials) < 0.25
+        ok &= rng.random(trials) < 1.0 / spec.d ** 2
     return float(np.mean(ok))
 
 

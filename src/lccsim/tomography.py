@@ -241,13 +241,6 @@ def linear_inversion(dataset: TomographyDataset) -> np.ndarray:
     return chi / np.trace(chi).real
 
 
-def _project_psd_unit_trace(m: np.ndarray, floor: float = 1e-6) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(m)
-    evals = np.clip(evals, floor, None)
-    out = (evecs * evals) @ evecs.conj().T
-    return out / np.trace(out).real
-
-
 def _project_unit_simplex(m: np.ndarray) -> np.ndarray:
     """Nearest unit-trace positive matrix to Hermitian m (Frobenius norm).
 
@@ -260,26 +253,6 @@ def _project_unit_simplex(m: np.ndarray) -> np.ndarray:
     shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
     shift = shifts[np.flatnonzero(desc > shifts)[-1]]
     return (evecs * np.clip(evals - shift, 0.0, None)) @ evecs.conj().T
-
-
-# Cholesky parameter layout: the four real diagonal entries of T, then the
-# real and imaginary parts of each strictly-lower entry in row order.
-_LOWER = np.tril_indices(4, -1)
-
-
-def _pack(diagonal: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    return np.concatenate([diagonal.real,
-                           np.stack([lower.real, lower.imag], axis=1).ravel()])
-
-
-def _t_to_vector(t: np.ndarray) -> np.ndarray:
-    return _pack(t.diagonal(), t[_LOWER])
-
-
-def _vector_to_t(x: np.ndarray) -> np.ndarray:
-    t = np.diag(np.asarray(x[:4], dtype=complex))
-    t[_LOWER] = x[4::2] + 1j * x[5::2]
-    return t
 
 
 def _chi_gradient(chi: np.ndarray, terms) -> tuple[np.ndarray, float]:
@@ -295,26 +268,6 @@ def _chi_gradient(chi: np.ndarray, terms) -> tuple[np.ndarray, float]:
         return grad, -np.inf
     return grad, float(terms["event_counts"] @ np.log(vals)
                        - terms["norm_count"] * math.log(norm_val))
-
-
-def _log_likelihood(chi: np.ndarray, terms) -> float:
-    return _chi_gradient(chi, terms)[1]
-
-
-def _gradient(t: np.ndarray, terms) -> tuple[np.ndarray, float]:
-    """Gradient of the log-likelihood in the Cholesky parameters of t.
-
-    The chain rule of chi = T T^dag / Tr(T T^dag) on top of
-    `_chi_gradient`.  The solver does not use it; acceptance criterion 9
-    checks this parametrized form against finite differences.
-    """
-    tau = np.trace(t @ t.conj().T).real
-    chi = t @ t.conj().T / tau
-    d, ll = _chi_gradient(chi, terms)
-    m = (t.conj().T @ d - np.trace(d @ chi).real * t.conj().T) / tau
-    # d/dRe T[j,i] = 2 Re m[i,j] and d/dIm T[j,i] = -2 Im m[i,j]
-    grad = 2.0 * _pack(m.diagonal(), m.T[_LOWER].conj())
-    return grad, ll
 
 
 def _likelihood_terms(dataset: TomographyDataset) -> dict:
@@ -352,9 +305,9 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     """Maximum-likelihood chi by accelerated projected gradient ascent.
 
     Starts from the nearest unit-trace positive matrix to ``initial``
-    (default: the linear-inversion estimate), or from its eigenvalue-
-    floored projection when that start gives an observed cell zero
-    probability.  Each iteration takes one step chi <- P(y + s G) from
+    (default: the linear-inversion estimate), or from I/4, which gives
+    every cell probability 1/2, when that start gives an observed cell
+    zero probability.  Each iteration takes one step chi <- P(y + s G) from
     the momentum point y, where P is the exact projection and the step
     s backtracks until the sufficient-increase test holds; momentum
     restarts whenever the log-likelihood would drop.
@@ -376,7 +329,7 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     chi = _project_unit_simplex(start)
     grad, ll = _chi_gradient(chi, terms)
     if not np.isfinite(ll):
-        chi = _project_psd_unit_trace(start)
+        chi = np.eye(4) / 4.0  # Tr(C_k I/4) = 1/2 > 0 for every cell
         grad, ll = _chi_gradient(chi, terms)
     if not np.isfinite(ll):
         raise InvalidInputError("counts give no finite likelihood")

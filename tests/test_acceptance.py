@@ -240,26 +240,32 @@ def test_criterion_9_tomography():
         physical = physical and evals.min() > -1e-10 and abs(
             np.trace(res.chi.data).real - 1.0) < 1e-10
 
-    # gradient vs central finite differences at a generic point
+    # gradient in chi vs central finite differences at a generic interior
+    # point, along the 16 real directions of a Hermitian basis
     noisy = tm.simulate_dataset(
         tm.depolarize_chi(tm.ideal_chi(gates.gate("U2")), 0.05), 1000, rng)
     terms = tm._likelihood_terms(noisy)
-    x0 = np.random.default_rng(99).normal(size=16)
-    grad, _ = tm._gradient(tm._vector_to_t(x0), terms)
+    a = np.random.default_rng(99).normal(size=(4, 4, 2)) @ [1.0, 1.0j]
+    chi0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    grad, _ = tm._chi_gradient(chi0, terms)
+    directions = []
+    for i in range(4):
+        for j in range(i, 4):
+            e = np.zeros((4, 4), dtype=complex)
+            e[i, j] = 1.0
+            directions.append(e + e.T)
+            if j > i:
+                directions.append(1j * (e - e.T))
 
-    def ll(x):
-        t = tm._vector_to_t(x)
-        tau = np.trace(t @ t.conj().T).real
-        return tm._log_likelihood(t @ t.conj().T / tau, terms)
+    def ll(chi):
+        return tm._chi_gradient(chi, terms)[1]
 
     h = 1e-5
-    grad_ok = True
-    for i in range(16):
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        numeric = (ll(xp) - ll(xm)) / (2 * h)
-        grad_ok = grad_ok and abs(grad[i] - numeric) / (abs(numeric) + 1e-9) < 1e-4
+    grad_ok = len(directions) == 16
+    for delta in directions:
+        numeric = (ll(chi0 + h * delta) - ll(chi0 - h * delta)) / (2 * h)
+        exact = np.trace(grad @ delta).real
+        grad_ok = grad_ok and abs(exact - numeric) / (abs(numeric) + 1e-9) < 1e-4
 
     noisy_res = tm.reconstruct_mle(noisy)
     noisy_fid = tm.process_fidelity(noisy_res.chi,

@@ -69,14 +69,37 @@ class TestPauliDecompose:
             assert np.abs(dec.alphas[1:].real).max() < 1e-9
             assert phase_aligned_distance(dec.reconstruct(), u) < 1e-10
 
-    def test_angle_product_form(self):
-        rng = np.random.default_rng(1)
-        u = haar_random_unitary(2, rng)
-        dec = pauli_decompose(u)
-        d1, d2, d3 = dec.d_angles
+    @staticmethod
+    def _euler_product(angles):
         prod = np.eye(2, dtype=complex)
-        for angle, pauli in ((d1, SX), (d2, 1j * SX @ SZ), (d3, SZ)):
+        for angle, pauli in zip(angles, (SX, 1j * SX @ SZ, SZ)):
             prod = prod @ (math.cos(angle) * ID2 - 1j * math.sin(angle) * pauli)
+        return prod
+
+    # half-angles (d1, d2, d3); |d2| = pi/4 is gimbal lock
+    @pytest.mark.parametrize("angles", [
+        None,
+        (0.3, -math.pi / 4, 0.7),
+        (-0.3, -math.pi / 4, 0.7),
+        (0.3, math.pi / 4, 0.7),
+        (0.3, 3 * math.pi / 4, -0.7),
+        (0.3, -3 * math.pi / 4, -0.7),
+        (0.3, math.pi / 4 + 1e-9, 0.7),
+        (0.3, -math.pi / 4 - 1e-7, 0.7),
+        (-1.2, math.pi / 4 - 1e-6, 2.5),
+        (0.3, 0.0, 0.7),
+        (0.3, 1e-9, 0.7),
+    ], ids=["haar", "lock-found", "lock-negative", "lock-positive",
+            "lock-3pi-over-4", "lock-minus-3pi-over-4", "near-lock-1e-9",
+            "near-lock-1e-7", "near-lock-1e-6", "zero-middle",
+            "tiny-middle"])
+    def test_angle_product_form(self, angles):
+        if angles is None:
+            u = haar_random_unitary(2, np.random.default_rng(1))
+        else:
+            u = self._euler_product(angles)
+        dec = pauli_decompose(u)
+        prod = self._euler_product(dec.d_angles)
         assert phase_aligned_distance(prod, u) < 1e-10
 
     def test_relaxed_expansion_of_non_unitary(self):

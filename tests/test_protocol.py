@@ -264,6 +264,16 @@ class TestMakeDecoy:
         with pytest.raises(InvalidInputError):
             protocol.make_decoy(rho, 4, 0.0)
 
+    def test_one_term_control(self):
+        # the decoy of a 1x1 control is [[1]] for every epsilon > 0
+        rho = np.eye(1)
+        for eps in (0.5, 1.0, 7.0):
+            assert np.array_equal(protocol.make_decoy(rho, 1, eps), [[1.0]])
+        assert protocol.verify_decoy_identity(rho, 0.5, 0.3) == 0
+        for eps in (0.0, -1.0):
+            with pytest.raises(InvalidInputError, match="positive"):
+                protocol.make_decoy(rho, 1, eps)
+
 
 class TestSendPolicy:
     def test_probability_split(self):
@@ -305,6 +315,15 @@ class TestRunSession:
     def spec_and_input(self):
         spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
         return spec, basis_state((2,), (0,))
+
+    def test_one_term_session(self):
+        spec = LinearCombinationSpec((1.0,), (SX,))
+        pol = protocol.SendPolicy(0.5, 0.5, np.eye(1))
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0)
+        tr = protocol.run_session(spec, basis_state((2,), (0,)), pol, beh, 20,
+                                  np.random.default_rng(3))
+        assert tr.completed_rounds == 20
+        assert tr.detection_events == 0
 
     def test_honest_no_detections(self):
         spec, psi = self.spec_and_input()
@@ -533,10 +552,16 @@ class TestSuccessAccounting:
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(est - p) < 3 * sigma
 
+    def test_monte_carlo_input_teleport_qutrit(self):
+        # the input teleport succeeds with 1/d^2 also when d is not a
+        # power of two
+        rng = np.random.default_rng(18)
+        trials = 100000
+        spec = random_unitary_combination_spec(2, 3, rng)
+        psi = statevector(random_statevector(3, rng))
+        p = protocol.success_probability_account(spec,
+                                                 include_input_teleport=True)
+        est = protocol.monte_carlo_success(spec, psi, trials, rng,
+                                           include_input_teleport=True)
+        assert abs(est - p) < 3 * math.sqrt(p * (1 - p) / trials)
 
-class TestChannelSet:
-    def test_for_task(self):
-        ch = protocol.ChannelSet.for_task(4, 4)
-        assert ch.control_pairs == 2
-        assert ch.input_pairs == 2
-        assert ch.output_pairs == 2

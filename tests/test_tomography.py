@@ -216,60 +216,29 @@ class TestMle:
         chi = tm.depolarize_chi(tm.ideal_chi(gates.gate("U5")), 0.1)
         ds = tm.simulate_dataset(chi, 500, rng)
         terms = tm._likelihood_terms(ds)
-        init = tm._project_psd_unit_trace(tm.linear_inversion(ds))
-        t0 = np.linalg.cholesky(init)
-        tau = np.trace(t0 @ t0.conj().T).real
-        ll_init = tm._log_likelihood(t0 @ t0.conj().T / tau, terms)
+        start = tm._project_unit_simplex(tm.linear_inversion(ds))
+        ll_init = tm._chi_gradient(start, terms)[1]
         res = tm.reconstruct_mle(ds)
         assert res.log_likelihood >= ll_init - 1e-9
 
-    def test_cholesky_layout(self):
-        # diagonal first, then (Re, Im) of each strictly-lower entry by row
-        x = np.random.default_rng(7).normal(size=16)
-        t = tm._vector_to_t(x)
-        want = [t[i, i].real for i in range(4)]
-        for j in range(1, 4):
-            for i in range(j):
-                want.extend([t[j, i].real, t[j, i].imag])
-        assert np.array_equal(tm._t_to_vector(t), x)
-        assert np.array_equal(np.array(want), x)
-        assert np.array_equal(t, np.tril(t))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        chi = tm.depolarize_chi(tm.ideal_chi(gates.gate("U2")), 0.1)
-        ds = tm.simulate_dataset(chi, 2000, rng)
-        terms = tm._likelihood_terms(ds)
-        x0 = np.random.default_rng(5).normal(size=16)
-        grad, _ = tm._gradient(tm._vector_to_t(x0), terms)
-
-        def ll(x):
-            t = tm._vector_to_t(x)
-            tau = np.trace(t @ t.conj().T).real
-            return tm._log_likelihood(t @ t.conj().T / tau, terms)
-
-        h = 1e-5
-        for i in range(16):
-            xp, xm = x0.copy(), x0.copy()
-            xp[i] += h
-            xm[i] -= h
-            numeric = (ll(xp) - ll(xm)) / (2 * h)
-            assert abs(grad[i] - numeric) / (abs(numeric) + 1e-9) < 1e-4
-
-
-    def test_chi_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("chi", [
+        tm.depolarize_chi(tm.ideal_chi(gates.gate("H")), 0.3).data,
+        tm.depolarize_chi(tm.ideal_chi(gates.gate("H")), 1e-3).data,
+    ], ids=["interior", "near-boundary"])
+    def test_chi_gradient_matches_finite_differences(self, chi):
         rng = np.random.default_rng(13)
         chi_true = tm.depolarize_chi(tm.ideal_chi(gates.gate("U2")), 0.1)
         terms = tm._likelihood_terms(tm.simulate_dataset(chi_true, 2000, rng))
-        chi = tm.depolarize_chi(tm.ideal_chi(gates.gate("H")), 0.3).data
-        grad, ll = tm._chi_gradient(chi, terms)
-        assert ll == tm._log_likelihood(chi, terms)
+        grad, _ = tm._chi_gradient(chi, terms)
+
+        def ll(m):
+            return tm._chi_gradient(m, terms)[1]
+
         h = 1e-6
         for _ in range(8):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             delta = a + a.conj().T
-            numeric = (tm._log_likelihood(chi + h * delta, terms)
-                       - tm._log_likelihood(chi - h * delta, terms)) / (2 * h)
+            numeric = (ll(chi + h * delta) - ll(chi - h * delta)) / (2 * h)
             exact = np.trace(grad @ delta).real
             assert abs(exact - numeric) / abs(numeric) < 1e-4
 
@@ -289,8 +258,6 @@ class TestMle:
             assert np.linalg.eigvalsh(proj).min() > -1e-12
             assert np.trace(proj).real == pytest.approx(1.0, abs=1e-12)
             nearest = np.linalg.norm(m - proj)
-            assert nearest <= np.linalg.norm(
-                m - tm._project_psd_unit_trace(m)) + 1e-12
             for _ in range(20):
                 b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                 other = b @ b.conj().T
@@ -318,9 +285,19 @@ class TestMle:
             assert res.iterations <= 2, name
             assert tm.process_fidelity(res.chi, chi_true) >= 1 - 1e-9, name
 
+    def test_fallback_start_is_maximally_mixed(self):
+        ds = tm.simulate_dataset(tm.ideal_chi(gates.gate("U2")), 500, None,
+                                 analytic=True)
+        res = tm.reconstruct_mle(ds, max_iter=0,
+                                 initial=tm.ideal_chi(gates.gate("X")).data)
+        assert res.iterations == 0
+        assert np.array_equal(res.chi.data, np.eye(4) / 4)
+        assert res.log_likelihood == tm._chi_gradient(np.eye(4) / 4,
+                                                      tm._likelihood_terms(ds))[1]
+
     def test_start_does_not_change_the_optimum(self):
         # a rank-one start gives observed cells zero probability, so the
-        # solver falls back to the floored projection
+        # solver falls back to I/4
         rng = np.random.default_rng(14)
         chi_true = tm.depolarize_chi(tm.ideal_chi(gates.gate("U2")), 0.05)
         ds = tm.simulate_dataset(chi_true, 500, rng)
