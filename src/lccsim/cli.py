@@ -36,13 +36,16 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.12f}{z.imag:+.12f}j"
 
 
-def _emit(lines: list[str], args) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(lines: list[str], args, body: str = "") -> None:
+    """Write `lines`, one per line, then `body` as it is."""
+    head = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(head)
+            fh.write(body)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(head)
+        sys.stdout.write(body)
 
 
 def _read_file(path: str) -> str:
@@ -165,8 +168,9 @@ def cmd_protocol(args) -> int:
         epsilon, tau = float(doc["epsilon"]), float(doc["tau"])
         intercept_fraction = float(doc.get("intercept_fraction", 0.0))
         rounds = int(doc["rounds"])
-        if rounds < 0:
-            raise ValueError(f"rounds must be non-negative, got {rounds}")
+        if not 0 <= rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must lie between 0 and {MAX_ROUNDS}, "
+                             f"got {rounds}")
         amps = None
         if "input_state" in doc:
             amps = np.array([complex(re, im) for re, im in doc["input_state"]])
@@ -212,14 +216,17 @@ def cmd_protocol(args) -> int:
              f"# analytic_success_probability={analytic:.12f}",
              f"# empirical_completion={s['empirical_completion']:.12f}",
              f"# detections={s['detections']} analytic_detection_rate={detect_rate:.12f}"]
-    lines.append(transcript.to_text().rstrip("\n"))
-    _emit(lines, args)
+    _emit(lines, args, transcript.to_text())
     return EXIT_OK
 
 
 # each count is Poisson with mean at most shots, and numpy's sampler
 # rejects means above about 9.2e18
 MAX_SHOTS = 10 ** 18
+
+# a session holds its draws and its transcript text in memory, about
+# 0.3 KB a round at its peak (0.1 KB of text), so about 3 GB at this bound
+MAX_ROUNDS = 10 ** 7
 
 
 def cmd_tomography(args) -> int:

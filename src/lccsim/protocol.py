@@ -17,6 +17,7 @@ measurement that actually randomizes verify outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qcore
-from .lcc import LinearCombinationSpec
+from .lcc import LinearCombinationSpec, _check_input
 from .qcore import (HADAMARD, InvalidInputError, QuantumState,
                     apply_to_subsystems, basis_state, measure_postselect,
                     statevector, tensor)
@@ -92,6 +93,11 @@ def teleport_corrected(state: QuantumState, source: int, epr: tuple[int, int],
     return st, (m1, m2)
 
 
+def _decoy(rho: np.ndarray, epsilon: float) -> np.ndarray:
+    n = rho.shape[0]
+    return ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
+
+
 def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     """Decoy state rho_m = ((1+eps)/n) I - eps rho.
 
@@ -108,7 +114,7 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     elif not (0.0 < epsilon <= 1.0 / (n - 1)):
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
-    rho_m = ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
+    rho_m = _decoy(rho, epsilon)
     evals = np.linalg.eigvalsh(rho_m)
     if evals.min() < -qcore.ATOL_STRUCT:
         raise InvalidInputError("decoy state is not positive semidefinite")
@@ -148,9 +154,9 @@ class SendPolicy:
 
     def decoy_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenstates of the decoy, with the phase of each
-        eigenvector fixed so its first nonzero component is real positive."""
-        rho_m = make_decoy(self.control_rho, self.n, self.epsilon)
-        evals, evecs = np.linalg.eigh(rho_m)
+        eigenvector fixed so its first nonzero component is real positive.
+        `__post_init__` has already checked that the decoy is valid."""
+        evals, evecs = np.linalg.eigh(_decoy(self.control_rho, self.epsilon))
         evals = np.clip(evals, 0.0, None)
         for j in range(evecs.shape[1]):
             col = evecs[:, j]
@@ -236,6 +242,22 @@ class RoundRecord:
     detected: bool
 
 
+# "0", "1", ... shared by every transcript: grown to the longest one
+# rendered so far, up to _LABEL_CAP labels (about 4 MB)
+_LABEL_CAP = 2 ** 16
+_labels: list[str] = []
+
+
+def _round_labels(total: int) -> list[str]:
+    """The round numbers 0 .. total-1 as strings; those below the cap are
+    built once per process, the rest once per call."""
+    if len(_labels) < min(total, _LABEL_CAP):
+        _labels.extend(map(str, range(len(_labels), min(total, _LABEL_CAP))))
+    if total <= _LABEL_CAP:
+        return _labels[:total]
+    return _labels[:_LABEL_CAP] + list(map(str, range(_LABEL_CAP, total)))
+
+
 class _Cell(NamedTuple):
     """What every round of one (sent state, server outcome) pair shares."""
 
@@ -270,6 +292,12 @@ class ProtocolTranscript:
         return int(np.count_nonzero(self.completed))
 
     def summary(self) -> dict:
+        """Session counts; a fresh dict on every call."""
+        s = self._summary
+        return {**s, "kind_counts": dict(s["kind_counts"])}
+
+    @functools.cached_property
+    def _summary(self) -> dict:
         total = len(self.cell)
         kinds = {}
         for c, count in zip(self.cells, np.bincount(
@@ -294,7 +322,7 @@ class ProtocolTranscript:
         # after "round=<r>", a line is fixed by its cell, its outcome
         # (0 failed, 1 completed, 2 completed and detected) and its LCC
         # retry count: one tail per pair that occurs, ending in the next
-        # line's "round=", and one lookup per line
+        # line's "round=", and one array gather picks every line's tail
         heads, ends = [], []
         for c in self.cells:
             vi = "-" if c.verify_index is None else c.verify_index
@@ -315,12 +343,12 @@ class ProtocolTranscript:
             cell_outcome.tolist(), retries[retry].tolist())]
         total = len(self.cell)
         parts = [None] * (2 * total)
-        parts[::2] = map(str, range(total))
-        parts[1::2] = map(tails.__getitem__, keys.tolist())
+        parts[::2] = _round_labels(total)
+        parts[1::2] = np.array(tails, dtype=object)[keys].tolist()
         if total:  # no tail precedes the first line; none follows the last
             parts[0] = "round=0"
             parts[-1] = parts[-1][:-len("round=")]
-        s = self.summary()
+        s = self._summary
         parts.append("# summary\n")
         parts += [f"# {key}={s[key]!r}\n" for key in sorted(s)]
         return "".join(parts)
@@ -390,6 +418,14 @@ def _intercept_outcomes(spec: LinearCombinationSpec, input_state: QuantumState,
                         for m in range(spec.n)]
 
 
+def _intercept_draw(cdf_table: np.ndarray, entry: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """Intercept outcome of each row: the number of entries below u[r] in
+    the nondecreasing CDF row cdf_table[entry[r]], which is
+    np.searchsorted(cdf_table[entry[r]], u[r]), ties included."""
+    return (cdf_table[entry] < u[:, None]).sum(1)
+
+
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
                 policy: SendPolicy, behavior: ServerBehavior, rounds: int,
                 rng: np.random.Generator) -> ProtocolTranscript:
@@ -399,19 +435,20 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     retries geometrically until its all-zero outcome, an intercepting
     server measures the control, and the client's postselected control
     teleportation either completes the run or fails it.  Verify rounds
-    audit the output against V_i |psi> with a single-shot check.
+    audit the output against V_i |psi> with a single-shot check.  The
+    input must be a normalized statevector (within 1e-9).
     """
     if policy.n != spec.n:
         raise qcore.DimensionMismatchError(
             f"policy dimension {policy.n} != spec term count {spec.n}")
-    if input_state.total_dim != spec.d:
-        raise qcore.DimensionMismatchError("input dimension mismatch")
+    _check_input(spec, input_state)
 
     p_lcc, expected = _lcc_stage(spec, input_state)
     basis_vecs, intercept_results = _intercept_outcomes(
         spec, input_state, behavior.intercept_basis)
     target = spec.combination() @ input_state.data
-    target = target / np.linalg.norm(target) if np.linalg.norm(target) > 1e-300 else None
+    norm = np.linalg.norm(target)
+    target = target / norm if norm > 1e-300 else None
 
     # one cell per (sendable state, server outcome): entry e owns cells
     # e*(n+1) (honest server) and e*(n+1) + 1 + m (intercept outcome m)
@@ -448,9 +485,8 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     u_detect = rng.random(rounds)
 
     cell = idx * (spec.n + 1)
-    for e, cdf in enumerate(cdfs):
-        rows = np.flatnonzero(intercepted & (idx == e))
-        cell[rows] += 1 + np.searchsorted(cdf, u_basis[rows])
+    rows = np.flatnonzero(intercepted)
+    cell[rows] += 1 + _intercept_draw(np.array(cdfs), idx[rows], u_basis[rows])
     completed = (u_complete < np.array(p_teleport)[cell]) & (p_lcc > 0)
     detected = completed & (u_detect > np.array(audit)[cell])
     return ProtocolTranscript(tuple(cells), cell, retries, completed, detected)
@@ -466,7 +502,9 @@ def intercept_detection_rate(spec: LinearCombinationSpec,
     rounds never trigger detection, nor do verify rounds whose V_i
     annihilates the input (there is no state to check against).  A
     server that does not intercept is never detected: the rate is 0.
+    The input must be a normalized statevector (within 1e-9).
     """
+    _check_input(spec, input_state)
     if behavior.mode != "intercept":
         return 0.0
     _, expected = _lcc_stage(spec, input_state)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import lccsim
-from lccsim import cli, gates, lcc, qcore
+from lccsim import cli, gates, lcc, protocol, qcore
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -207,6 +208,65 @@ class TestProtocolCommand:
         assert parsed["detections"] > 0
         assert parsed["empirical_completion"] == parsed["completed"] / 400
 
+    @pytest.mark.parametrize("amps", [[[3, 0], [0, 0]], [[0.5, 0], [0, 0]],
+                                      [[0, 0], [0, 0]]])
+    def test_unnormalized_input_exit_3(self, tmp_path, amps):
+        path = tmp_path / "norm.json"
+        path.write_text(json.dumps({
+            "operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 50,
+            "seed": 1, "behavior": "intercept", "intercept_fraction": 0.5,
+            "input_state": amps}))
+        code, err = run_process(["protocol", str(path)])
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "normalized" in err
+
+    @pytest.mark.parametrize("rounds", [cli.MAX_ROUNDS + 1, 10 ** 15])
+    def test_rounds_above_bound_exit_2(self, tmp_path, monkeypatch, capsys,
+                                       rounds):
+        def no_session(*args):
+            raise AssertionError("a session was started")
+
+        monkeypatch.setattr(protocol, "run_session", no_session)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"operation": "U2", "epsilon": 1.0,
+                                    "tau": 0.5, "rounds": rounds, "seed": 1}))
+        assert run(["protocol", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cli.MAX_ROUNDS) in err
+        code, err = run_process(["protocol", str(path)])
+        assert code == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_rounds_at_bound_reach_the_session(self, tmp_path, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def stub(spec, input_state, policy, behavior, rounds, rng):
+            raise Started(rounds)
+
+        monkeypatch.setattr(protocol, "run_session", stub)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"operation": "U2", "epsilon": 1.0,
+                                    "tau": 0.5, "rounds": cli.MAX_ROUNDS,
+                                    "seed": 1}))
+        with pytest.raises(Started) as info:
+            run(["protocol", str(path)])
+        assert info.value.args == (cli.MAX_ROUNDS,)
+
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        path = tmp_path / "intercept.json"
+        path.write_text(json.dumps({
+            "operation": "U12", "epsilon": 0.5, "tau": 0.7, "rounds": 400,
+            "seed": 3, "behavior": "intercept", "intercept_fraction": 0.6}))
+        assert run(["protocol", str(path)]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert run(["--out", str(out), "protocol", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+        assert stdout.count("\nround=") == 400
+
     @pytest.mark.parametrize("behavior", ["honest", "skip_measurement"])
     def test_no_detection_rate_without_intercept(self, tmp_path, capsys,
                                                  behavior):
@@ -304,7 +364,53 @@ class TestDispatch:
         assert calls == [scenario_file]
 
 
+# sha256 of `lccsim protocol` stdout for epsilon 0.5, tau 0.6, 500
+# rounds, seed 7 and, for an intercepting server, intercept fraction 0.7.
+# A change that moves these bytes must say so and update the digest.
+PROTOCOL_DIGESTS = {
+    ("U2", "honest", None):
+        "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
+    ("U2", "intercept", "x"):
+        "82968ceb35e7b1c1d438a3a7fb064a65c7267ca58913451ac6c1dd8337078b15",
+    ("U2", "intercept", "z"):
+        "0bd1cb0f5cd4d2b189cb1351529512fc425b16728101e2620177a2b4577dc20b",
+    ("U2", "skip_measurement", None):
+        "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
+    ("U4", "honest", None):
+        "67b78b913ac6d48f2f5496a0358e887add342a31ae3aa88d9ab6ae036d6e9915",
+    ("U4", "intercept", "x"):
+        "c360ab99f56db14170111baf4d635f690757f3edeafa03b5e35c004246a1485c",
+    ("U4", "intercept", "z"):
+        "334845a4b2856f4740244a8ac632307b885a6265fac396835792a95aa59f2700",
+    ("U4", "skip_measurement", None):
+        "67b78b913ac6d48f2f5496a0358e887add342a31ae3aa88d9ab6ae036d6e9915",
+    ("U12", "honest", None):
+        "00e05c8adccf7a48e84ae7c9b589392d43ee3146616d09411ca3c5b9f391b680",
+    ("U12", "intercept", "x"):
+        "8cb9c4fcdc962d892f029116c17316b16b7e77b587b8362a618915cd782c091a",
+    ("U12", "intercept", "z"):
+        "8aa0278f3f69997d5a4d5ab677cfb5ffcefb46e7d044f8c24cde3018dff7e02b",
+    ("U12", "skip_measurement", None):
+        "00e05c8adccf7a48e84ae7c9b589392d43ee3146616d09411ca3c5b9f391b680",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("operation, behavior, basis", list(PROTOCOL_DIGESTS))
+    def test_protocol_bytes_pinned(self, tmp_path, capsys, operation,
+                                   behavior, basis):
+        doc = {"operation": operation, "epsilon": 0.5, "tau": 0.6,
+               "rounds": 500, "seed": 7, "behavior": behavior}
+        if basis:
+            doc.update(intercept_fraction=0.7, intercept_basis=basis)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run(["protocol", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == PROTOCOL_DIGESTS[operation, behavior, basis]
+
     def test_protocol_byte_identical(self, scenario_file, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

@@ -411,6 +411,31 @@ class TestRunSession:
                                  protocol.ServerBehavior(), 10,
                                  np.random.default_rng(0))
 
+    @pytest.mark.parametrize("amps", [[3, 0], [0.5, 0], [0, 0], [R2, 0.5]])
+    def test_unnormalized_input_rejected(self, amps):
+        # a norm of 3 makes p_lcc exceed 1, a norm of 0.5 shrinks it 4x,
+        # and the zero vector completes no round
+        spec, _ = self.spec_and_input()
+        pol = pure_policy(spec.coefficients)
+        psi = statevector(amps)
+        for mode in ("honest", "intercept", "skip_measurement"):
+            beh = protocol.ServerBehavior(mode=mode, intercept_fraction=1.0)
+            with pytest.raises(InvalidInputError, match="normalized"):
+                protocol.run_session(spec, psi, pol, beh, 10,
+                                     np.random.default_rng(0))
+            with pytest.raises(InvalidInputError, match="normalized"):
+                protocol.intercept_detection_rate(spec, psi, pol, beh)
+
+    def test_norm_within_tolerance_accepted(self):
+        spec, _ = self.spec_and_input()
+        pol = pure_policy(spec.coefficients)
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0)
+        psi = statevector([1 + 5e-10, 0])
+        tr = protocol.run_session(spec, psi, pol, beh, 10,
+                                  np.random.default_rng(0))
+        assert len(tr.rounds) == 10
+        assert protocol.intercept_detection_rate(spec, psi, pol, beh) > 0
+
 
 class TestColumnarTranscript:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -425,12 +450,73 @@ class TestColumnarTranscript:
         assert repr(tr.summary()) == repr(reference_summary(records))
         assert list(tr.rounds) == records
 
-    def session(self, rounds):
-        spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
-        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=0.5)
-        return protocol.run_session(spec, basis_state((2,), (0,)),
-                                    pure_policy(spec.coefficients), beh,
-                                    rounds, np.random.default_rng(16))
+    SPEC = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
+
+    def session(self, rounds, reference=False):
+        args = (self.SPEC, basis_state((2,), (0,)),
+                pure_policy(self.SPEC.coefficients),
+                protocol.ServerBehavior(mode="intercept",
+                                        intercept_fraction=0.5), rounds)
+        tr = protocol.run_session(*args, np.random.default_rng(16))
+        if reference:
+            return tr, reference_session(*args, np.random.default_rng(16))
+        return tr
+
+    @pytest.mark.parametrize("cap", [protocol._LABEL_CAP, 600])
+    @pytest.mark.parametrize("lengths", [(700, 50, 5000), (5000, 50, 700)])
+    def test_reused_round_labels(self, monkeypatch, cap, lengths):
+        # the shared labels grow to the longest transcript so far and no
+        # further than the cap; later rounds get labels built per call
+        monkeypatch.setattr(protocol, "_labels", [])
+        monkeypatch.setattr(protocol, "_LABEL_CAP", cap)
+        longest = 0
+        for rounds in lengths:
+            tr, records = self.session(rounds, reference=True)
+            assert tr.to_text() == reference_text(records)
+            longest = max(longest, rounds)
+            assert len(protocol._labels) == min(longest, cap)
+
+    def test_round_labels_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_labels", [])
+        total = protocol._LABEL_CAP + 3
+        assert protocol._round_labels(total) == list(map(str, range(total)))
+        assert len(protocol._labels) == protocol._LABEL_CAP
+        assert protocol._round_labels(5) == ["0", "1", "2", "3", "4"]
+
+    def test_summary_returns_a_fresh_dict(self):
+        tr = self.session(300)
+        text = tr.to_text()
+        first = tr.summary()
+        want = repr(first)
+        first["kind_counts"]["compute"] = -1
+        first["rounds"] = -1
+        del first["detections"]
+        assert repr(tr.summary()) == want
+        assert tr.to_text() == text
+
+    def test_intercept_draw_matches_searchsorted(self):
+        # one gather and one comparison against the per-entry loop it
+        # replaced, with CDF rows that hold flat runs and a u equal to
+        # each kind of CDF entry
+        rng = np.random.default_rng(17)
+        probs = rng.random((6, 4))
+        probs[1, 1:3] = 0.0
+        probs[2, :2] = 0.0
+        probs[3, 1:] = 0.0
+        cdf_table = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
+        cdf_table[:, -1] = 1.0
+        entry = rng.integers(0, len(cdf_table), 3000)
+        u = rng.random(len(entry))
+        ties = rng.integers(0, 4, 300)
+        u[:300] = cdf_table[entry[:300], ties]
+        want = np.empty(len(entry), dtype=int)
+        for e, cdf in enumerate(cdf_table):
+            rows = np.flatnonzero(entry == e)
+            want[rows] = np.searchsorted(cdf, u[rows])
+        got = protocol._intercept_draw(cdf_table, entry, u)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[:300], [np.searchsorted(cdf_table[e], x)
+                                          for e, x in zip(entry, u[:300])])
 
     def test_zero_rounds_prints_only_the_summary(self):
         assert self.session(0).to_text() == (
