@@ -209,13 +209,16 @@ def cmd_protocol(args) -> int:
     analytic = protocol.success_probability_account(spec)
     detect_rate = protocol.intercept_detection_rate(spec, input_state,
                                                     policy, behavior)
-    s = transcript.summary()
+    # the header reads its two counts off the transcript, so that the
+    # summary is counted once, by to_text
+    completion = transcript.completed_rounds / rounds if rounds else 0.0
     lines = [f"# protocol session: operation={op_name} rounds={rounds} seed={seed}",
              f"# p_compute={policy.p_control:.12f} p_decoy={policy.p_decoy:.12f} "
              f"p_basis_each={policy.p_basis:.12f}",
              f"# analytic_success_probability={analytic:.12f}",
-             f"# empirical_completion={s['empirical_completion']:.12f}",
-             f"# detections={s['detections']} analytic_detection_rate={detect_rate:.12f}"]
+             f"# empirical_completion={completion:.12f}",
+             f"# detections={transcript.detection_events} "
+             f"analytic_detection_rate={detect_rate:.12f}"]
     _emit(lines, args, transcript.to_text())
     return EXIT_OK
 

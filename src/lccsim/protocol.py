@@ -17,7 +17,6 @@ measurement that actually randomizes verify outcomes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -242,22 +241,6 @@ class RoundRecord:
     detected: bool
 
 
-# "0", "1", ... shared by every transcript: grown to the longest one
-# rendered so far, up to _LABEL_CAP labels (about 4 MB)
-_LABEL_CAP = 2 ** 16
-_labels: list[str] = []
-
-
-def _round_labels(total: int) -> list[str]:
-    """The round numbers 0 .. total-1 as strings; those below the cap are
-    built once per process, the rest once per call."""
-    if len(_labels) < min(total, _LABEL_CAP):
-        _labels.extend(map(str, range(len(_labels), min(total, _LABEL_CAP))))
-    if total <= _LABEL_CAP:
-        return _labels[:total]
-    return _labels[:_LABEL_CAP] + list(map(str, range(_LABEL_CAP, total)))
-
-
 class _Cell(NamedTuple):
     """What every round of one (sent state, server outcome) pair shares."""
 
@@ -292,12 +275,6 @@ class ProtocolTranscript:
         return int(np.count_nonzero(self.completed))
 
     def summary(self) -> dict:
-        """Session counts; a fresh dict on every call."""
-        s = self._summary
-        return {**s, "kind_counts": dict(s["kind_counts"])}
-
-    @functools.cached_property
-    def _summary(self) -> dict:
         total = len(self.cell)
         kinds = {}
         for c, count in zip(self.cells, np.bincount(
@@ -343,12 +320,13 @@ class ProtocolTranscript:
             cell_outcome.tolist(), retries[retry].tolist())]
         total = len(self.cell)
         parts = [None] * (2 * total)
-        parts[::2] = _round_labels(total)
+        # f"{r}" skips the str() type call: a third faster than map(str, ...)
+        parts[::2] = [f"{r}" for r in range(total)]
         parts[1::2] = np.array(tails, dtype=object)[keys].tolist()
         if total:  # no tail precedes the first line; none follows the last
             parts[0] = "round=0"
             parts[-1] = parts[-1][:-len("round=")]
-        s = self._summary
+        s = self.summary()
         parts.append("# summary\n")
         parts += [f"# {key}={s[key]!r}\n" for key in sorted(s)]
         return "".join(parts)
@@ -418,14 +396,6 @@ def _intercept_outcomes(spec: LinearCombinationSpec, input_state: QuantumState,
                         for m in range(spec.n)]
 
 
-def _intercept_draw(cdf_table: np.ndarray, entry: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
-    """Intercept outcome of each row: the number of entries below u[r] in
-    the nondecreasing CDF row cdf_table[entry[r]], which is
-    np.searchsorted(cdf_table[entry[r]], u[r]), ties included."""
-    return (cdf_table[entry] < u[:, None]).sum(1)
-
-
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
                 policy: SendPolicy, behavior: ServerBehavior, rounds: int,
                 rng: np.random.Generator) -> ProtocolTranscript:
@@ -485,8 +455,10 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     u_detect = rng.random(rounds)
 
     cell = idx * (spec.n + 1)
+    # an intercept outcome is the number of its CDF's entries below the
+    # draw, as np.searchsorted(cdf, u) counts them, ties included
     rows = np.flatnonzero(intercepted)
-    cell[rows] += 1 + _intercept_draw(np.array(cdfs), idx[rows], u_basis[rows])
+    cell[rows] += 1 + (np.array(cdfs)[idx[rows]] < u_basis[rows, None]).sum(1)
     completed = (u_complete < np.array(p_teleport)[cell]) & (p_lcc > 0)
     detected = completed & (u_detect > np.array(audit)[cell])
     return ProtocolTranscript(tuple(cells), cell, retries, completed, detected)

@@ -119,6 +119,33 @@ def reference_text(records):
     return "\n".join(lines) + "\n"
 
 
+class TieRng:
+    """Draws from `rng`, except in the intercept draws (a session's
+    second `random` call): there each round takes a random entry of its
+    sent state's row of `cdfs` instead, where that entry is below 1."""
+
+    def __init__(self, rng, cdfs):
+        self._rng, self._cdfs, self._calls, self.ties = rng, cdfs, 0, 0
+
+    def choice(self, *args, **kwargs):
+        self._idx = self._rng.choice(*args, **kwargs)
+        return self._idx
+
+    def geometric(self, *args, **kwargs):
+        return self._rng.geometric(*args, **kwargs)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        self._calls += 1
+        if self._calls == 2:
+            picked = self._cdfs[self._idx, self._rng.integers(
+                0, self._cdfs.shape[1], size)]
+            tie = picked < 1.0
+            u[tie] = picked[tie]
+            self.ties = int(tie.sum())
+        return u
+
+
 @st.composite
 def session_cases(draw):
     """A spec, input, policy, behaviour, round count and seed: random
@@ -462,26 +489,12 @@ class TestColumnarTranscript:
             return tr, reference_session(*args, np.random.default_rng(16))
         return tr
 
-    @pytest.mark.parametrize("cap", [protocol._LABEL_CAP, 600])
     @pytest.mark.parametrize("lengths", [(700, 50, 5000), (5000, 50, 700)])
-    def test_reused_round_labels(self, monkeypatch, cap, lengths):
-        # the shared labels grow to the longest transcript so far and no
-        # further than the cap; later rounds get labels built per call
-        monkeypatch.setattr(protocol, "_labels", [])
-        monkeypatch.setattr(protocol, "_LABEL_CAP", cap)
-        longest = 0
+    def test_lengths_in_either_order(self, lengths):
+        # no transcript's text depends on one rendered before it
         for rounds in lengths:
             tr, records = self.session(rounds, reference=True)
             assert tr.to_text() == reference_text(records)
-            longest = max(longest, rounds)
-            assert len(protocol._labels) == min(longest, cap)
-
-    def test_round_labels_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_labels", [])
-        total = protocol._LABEL_CAP + 3
-        assert protocol._round_labels(total) == list(map(str, range(total)))
-        assert len(protocol._labels) == protocol._LABEL_CAP
-        assert protocol._round_labels(5) == ["0", "1", "2", "3", "4"]
 
     def test_summary_returns_a_fresh_dict(self):
         tr = self.session(300)
@@ -494,29 +507,27 @@ class TestColumnarTranscript:
         assert repr(tr.summary()) == want
         assert tr.to_text() == text
 
-    def test_intercept_draw_matches_searchsorted(self):
-        # one gather and one comparison against the per-entry loop it
-        # replaced, with CDF rows that hold flat runs and a u equal to
-        # each kind of CDF entry
-        rng = np.random.default_rng(17)
-        probs = rng.random((6, 4))
-        probs[1, 1:3] = 0.0
-        probs[2, :2] = 0.0
-        probs[3, 1:] = 0.0
-        cdf_table = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
-        cdf_table[:, -1] = 1.0
-        entry = rng.integers(0, len(cdf_table), 3000)
-        u = rng.random(len(entry))
-        ties = rng.integers(0, 4, 300)
-        u[:300] = cdf_table[entry[:300], ties]
-        want = np.empty(len(entry), dtype=int)
-        for e, cdf in enumerate(cdf_table):
-            rows = np.flatnonzero(entry == e)
-            want[rows] = np.searchsorted(cdf, u[rows])
-        got = protocol._intercept_draw(cdf_table, entry, u)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got[:300], [np.searchsorted(cdf_table[e], x)
-                                          for e, x in zip(entry, u[:300])])
+    @pytest.mark.parametrize("basis", ["x", "z"])
+    def test_intercept_draw_ties(self, basis):
+        # intercept draws equal to entries of their round's CDF (the z
+        # basis gives flat runs at 0 and 1, the x basis steps of 1/4)
+        # pick the outcome the per-round searchsorted picks
+        spec = random_unitary_combination_spec(4, 2, np.random.default_rng(5))
+        psi = basis_state((2,), (0,))
+        policy = pure_policy(spec.coefficients, epsilon=0.3)
+        behavior = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0,
+                                           intercept_basis=basis)
+        basis_vecs, _ = protocol._intercept_outcomes(spec, psi, basis)
+        probs = np.array([np.abs(basis_vecs.conj().T @ vec) ** 2
+                          for _, vec in policy.outcome_table()[0]])
+        cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
+        rng = TieRng(np.random.default_rng(3), cdfs)
+        tr = protocol.run_session(spec, psi, policy, behavior, 3000, rng)
+        assert rng.ties > 1500
+        records = reference_session(spec, psi, policy, behavior, 3000,
+                                    TieRng(np.random.default_rng(3), cdfs))
+        assert list(tr.rounds) == records
+        assert tr.to_text() == reference_text(records)
 
     def test_zero_rounds_prints_only_the_summary(self):
         assert self.session(0).to_text() == (
