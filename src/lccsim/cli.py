@@ -4,7 +4,9 @@ Subcommands: lcc, kak, protocol, tomography.  All stochastic commands
 require --seed; identical inputs and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 parse failure, 3 precondition violation,
-4 dimension mismatch, 5 unknown name.
+4 dimension mismatch, 5 unknown name.  A reader that closes the output
+pipe early (``lccsim protocol s.json | head -1``) ends the run quietly
+with exit 0: it has read all it wanted.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,6 +49,8 @@ def _emit(lines: list[str], args, body: str = "") -> None:
     else:
         sys.stdout.write(head)
         sys.stdout.write(body)
+        # a closed pipe then raises in `main`, not in the final flush
+        sys.stdout.flush()
 
 
 def _read_file(path: str) -> str:
@@ -145,6 +150,20 @@ def cmd_kak(args) -> int:
     return EXIT_OK
 
 
+def _integer(value, key: str) -> int:
+    """A scenario field that must be a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A scenario field that must be a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _load_scenario(path: str) -> dict:
     try:
         doc = json.loads(_read_file(path))
@@ -164,10 +183,12 @@ def cmd_protocol(args) -> int:
     if seed is None:
         raise _CliError(EXIT_PRECONDITION, "protocol runs require a seed")
     try:
-        rng = np.random.default_rng(int(seed))
-        epsilon, tau = float(doc["epsilon"]), float(doc["tau"])
-        intercept_fraction = float(doc.get("intercept_fraction", 0.0))
-        rounds = int(doc["rounds"])
+        rng = np.random.default_rng(_integer(seed, "seed"))
+        epsilon = _number(doc["epsilon"], "epsilon")
+        tau = _number(doc["tau"], "tau")
+        intercept_fraction = _number(doc.get("intercept_fraction", 0.0),
+                                     "intercept_fraction")
+        rounds = _integer(doc["rounds"], "rounds")
         if not 0 <= rounds <= MAX_ROUNDS:
             raise ValueError(f"rounds must lie between 0 and {MAX_ROUNDS}, "
                              f"got {rounds}")
@@ -278,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (required for stochastic subcommands)")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=("text",), default="text",
-                        help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lcc = sub.add_parser("lcc", help="run a linear-combination circuit")
@@ -323,6 +342,13 @@ def main(argv=None) -> int:
     except kak.DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except BrokenPipeError:
+        # the reader has what it wanted; point stdout at os.devnull so
+        # that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

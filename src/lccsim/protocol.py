@@ -50,48 +50,6 @@ def teleport_postselected(state: QuantumState, source: int,
     return measure_postselect(st, [source, a], (0, 0))
 
 
-def sample_measurement(state: QuantumState, target: int,
-                       rng: np.random.Generator) -> tuple[int, QuantumState]:
-    """Sample a computational-basis measurement of one qubit; collapse."""
-    d = state.dims[target]
-    probs = []
-    outcomes = []
-    for x in range(d):
-        out = measure_postselect(state, [target], (x,))
-        probs.append(out.probability)
-        outcomes.append(out)
-    probs = np.array(probs)
-    probs = probs / probs.sum()
-    x = int(rng.choice(d, p=probs))
-    return x, outcomes[x].remainder
-
-
-def teleport_corrected(state: QuantumState, source: int, epr: tuple[int, int],
-                       rng: np.random.Generator,
-                       allow_corrections: bool = True
-                       ) -> tuple[QuantumState, tuple[int, int]]:
-    """Deterministic teleportation: sample both Bell outcomes and apply
-    the outcome-conditioned Pauli corrections on the receiver.
-
-    Valid only where corrections commute with downstream processing (the
-    computation-output leg); succeeds with probability 1.
-    """
-    a, b = epr
-    st = apply_to_subsystems(state, _CNOT, [source, a])
-    st = apply_to_subsystems(st, HADAMARD, [source])
-    m1, st = sample_measurement(st, source, rng)
-    # measuring `source` removed it; account for the index shift
-    a_idx = a if a < source else a - 1
-    m2, st = sample_measurement(st, a_idx, rng)
-    b_idx = b - sum(1 for t in (source, a) if t < b)
-    if allow_corrections:
-        if m2:
-            st = apply_to_subsystems(st, qcore.SX, [b_idx])
-        if m1:
-            st = apply_to_subsystems(st, qcore.SZ, [b_idx])
-    return st, (m1, m2)
-
-
 def _decoy(rho: np.ndarray, epsilon: float) -> np.ndarray:
     n = rho.shape[0]
     return ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
@@ -516,9 +474,7 @@ def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,
     st = apply_to_subsystems(st, cond, [2, 3])
     prep = np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
     st = apply_to_subsystems(st, prep, [0])
-    st = apply_to_subsystems(st, _CNOT, [0, 1])
-    st = apply_to_subsystems(st, HADAMARD, [0])
-    outcome = measure_postselect(st, [0, 1], (0, 0))
+    outcome = teleport_postselected(st, 0, (1, 2))
     if outcome.empty:
         raise InvalidInputError("client postselection has zero probability")
     return outcome.remainder
@@ -593,7 +549,9 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
     teleport (one generalized Bell outcome of d^2), one LCC attempt, and
     the control-qubit teleports.  The LCC and control stages come from
     the exact simulation, not from the analytic account being tested.
+    The input must be a normalized statevector (within 1e-9).
     """
+    _check_input(spec, input_state)
     p_lcc, _ = _lcc_stage(spec, input_state)
     _, p_teleport = _control_outputs(spec, input_state, spec.coefficients)
     ok = rng.random(trials) < p_lcc

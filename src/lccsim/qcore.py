@@ -181,11 +181,6 @@ class MeasurementOutcome:
         return self.remainder is None
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (dimensions multiply)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def _contract(op: np.ndarray, tens: np.ndarray, axes) -> np.ndarray:
     """Contract the input legs of the 2m-legged ``op`` into ``axes`` of ``tens``."""
     m = len(axes)
@@ -347,11 +342,11 @@ def partial_trace(state: QuantumState, keep) -> QuantumState:
     return QuantumState("density", keep_dims, tens.reshape(total, total))
 
 
-# -- matrix / state literal file format --------------------------------------
+# -- matrix literal file format ---------------------------------------------
 #
 # UTF-8 text, one row per line, entries as python complex literals
-# (``re+imj``) separated by whitespace.  States carry a header line
-# ``# dims: d1 d2 ...`` and a single amplitude row.
+# (``re+imj``) separated by whitespace; lines starting with ``#`` are
+# comments.
 
 def format_matrix(m: np.ndarray) -> str:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
@@ -374,26 +369,3 @@ def parse_matrix(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise InvalidInputError("ragged matrix rows")
     return np.array(rows, dtype=complex)
-
-
-def format_state(state: QuantumState) -> str:
-    header = "# dims: " + " ".join(str(d) for d in state.dims) + "\n"
-    if state.kind == "statevector":
-        body = format_matrix(state.data.reshape(1, -1))
-    else:
-        body = format_matrix(state.data)
-    return header + body
-
-
-def parse_state(text: str) -> QuantumState:
-    dims = None
-    for line in text.splitlines():
-        if line.strip().startswith("# dims:"):
-            dims = tuple(int(t) for t in line.split(":", 1)[1].split())
-            break
-    m = parse_matrix(text)
-    if dims is None:
-        dims = (m.size,) if 1 in m.shape else (m.shape[0],)
-    if 1 in m.shape and m.size == int(np.prod(dims)):
-        return QuantumState("statevector", dims, m.reshape(-1))
-    return QuantumState("density", dims, m)

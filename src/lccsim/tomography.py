@@ -152,41 +152,6 @@ class TomographyDataset:
     def total(self) -> float:
         return float(sum(self.counts.values()))
 
-    def to_text(self) -> str:
-        lines = ["# prep basis outcome count"]
-        for (p, b, o) in sorted(self.counts):
-            c = self.counts[(p, b, o)]
-            c_str = str(int(c)) if float(c).is_integer() else repr(float(c))
-            lines.append(f"{p} {b} {o} {c_str}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TomographyDataset":
-        counts = {}
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise InvalidInputError(f"line {ln}: expected 4 fields")
-            p, b, o_str, c_str = parts
-            if p not in PREP_LABELS:
-                raise InvalidInputError(f"line {ln}: unknown preparation {p!r}")
-            if b not in BASIS_LABELS:
-                raise InvalidInputError(f"line {ln}: unknown basis {b!r}")
-            try:
-                o = int(o_str)
-                c = float(c_str)
-            except ValueError as exc:
-                raise InvalidInputError(f"line {ln}: {exc}") from None
-            if o not in (0, 1) or not 0 <= c < math.inf:
-                raise InvalidInputError(f"line {ln}: bad outcome or count")
-            counts[(p, b, o)] = counts.get((p, b, o), 0.0) + c
-        if not counts:
-            raise InvalidInputError("dataset contains no rows")
-        return cls(counts)
-
 
 def simulate_dataset(chi: ChiMatrix, shots: int, rng: np.random.Generator | None,
                      analytic: bool = False) -> TomographyDataset:

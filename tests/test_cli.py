@@ -172,13 +172,43 @@ class TestProtocolCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("tau", None), ("rounds", "many"), ("rounds", 1e400), ("seed", -1),
-        ("intercept_fraction", [0.5]), ("input_state", [[1.0], [0.0]])])
+        ("intercept_fraction", [0.5]), ("input_state", [[1.0], [0.0]]),
+        # each keeps its JSON type: int() or float() would change its value
+        ("rounds", 2.9), ("rounds", True), ("seed", 1.7), ("seed", True),
+        ("epsilon", True), ("epsilon", "0.5"), ("tau", "0.5"),
+        ("intercept_fraction", False)])
     def test_malformed_numeric_field_exit_2(self, tmp_path, field, value):
         path = tmp_path / "field.json"
         doc = {"operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 5,
                "seed": 1, field: value}
         path.write_text(json.dumps(doc))
         assert run(["protocol", str(path)]) == 2
+
+    def test_integer_valued_numbers_accepted(self, tmp_path, capsys):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({
+            "operation": "U2", "epsilon": 1, "tau": 0.5, "rounds": 20,
+            "seed": 1, "behavior": "intercept", "intercept_fraction": 1}))
+        assert run(["protocol", str(path)]) == 0
+        assert capsys.readouterr().out.count("\nround=") == 20
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # 5000 rounds print about 350 KB, far more than a 64 KiB pipe
+        # buffer holds, so the writer is still writing when the pipe closes
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"operation": "U2", "epsilon": 1.0,
+                                    "tau": 0.5, "rounds": 5000, "seed": 1}))
+        with subprocess.Popen(
+                [sys.executable, "-m", "lccsim.cli", "protocol", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(SRC))) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert first.startswith(b"# protocol session: operation=U2")
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("doc", [
         ["operation", "epsilon", "tau", "rounds"],
@@ -362,6 +392,12 @@ class TestDispatch:
         monkeypatch.setattr(cli, "cmd_protocol", spy)
         assert run(["--out", out, "protocol", scenario_file]) == 0
         assert calls == [scenario_file]
+
+    def test_format_option_is_gone(self, u2_spec_file):
+        # it offered one choice, text, and so changed nothing
+        with pytest.raises(SystemExit) as info:
+            run(["--format", "text", "lcc", u2_spec_file])
+        assert info.value.code == 2
 
 
 # sha256 of `lccsim protocol` stdout for epsilon 0.5, tau 0.6, 500

@@ -11,7 +11,7 @@ from lccsim import protocol
 from lccsim.gates import A_GATE, B_GATE
 from lccsim.lcc import LinearCombinationSpec, cu_linear_spec
 from lccsim.qcore import (ID2, InvalidInputError, SX, SZ,
-                          basis_state, haar_random_unitary, state_fidelity,
+                          basis_state, haar_random_unitary,
                           statevector, tensor)
 
 R2 = 1.0 / math.sqrt(2)
@@ -224,35 +224,6 @@ class TestTeleportPostselected:
         want = (alpha * A_GATE + beta * B_GATE) @ np.array([1, 0])
         want = want / np.linalg.norm(want)
         assert abs(abs(np.vdot(out.remainder.data, want)) - 1.0) < 1e-10
-
-
-class TestTeleportCorrected:
-    def test_plus_state(self):
-        rng = np.random.default_rng(1)
-        plus = np.array([1, 1]) / math.sqrt(2)
-        for _ in range(16):
-            res, _ = protocol.teleport_corrected(qubit_with_epr(plus), 0,
-                                                 (1, 2), rng)
-            assert state_fidelity(res, statevector(plus)) > 1 - 1e-12
-
-    def test_thousand_random_states(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            v = random_statevector(2, rng)
-            res, _ = protocol.teleport_corrected(qubit_with_epr(v), 0,
-                                                 (1, 2), rng)
-            assert state_fidelity(res, statevector(v)) > 1 - 1e-12
-
-    def test_corrections_required(self):
-        rng = np.random.default_rng(3)
-        v = random_statevector(2, rng)
-        hits = 0
-        for _ in range(50):
-            res, outcome = protocol.teleport_corrected(
-                qubit_with_epr(v), 0, (1, 2), rng, allow_corrections=False)
-            if state_fidelity(res, statevector(v)) < 1 - 1e-6:
-                hits += 1
-        assert hits > 0
 
 
 class TestMakeDecoy:
@@ -648,6 +619,18 @@ class TestSuccessAccounting:
             est = protocol.monte_carlo_success(spec, psi, trials, rng)
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(est - p) < 3 * sigma
+
+    def test_monte_carlo_checks_its_input(self):
+        # a norm of 0.5 shrinks the success rate 16-fold, and a norm of 3
+        # drives it to 1
+        spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
+        rng = np.random.default_rng(0)
+        for amps in ([0.5, 0], [3, 0]):
+            with pytest.raises(InvalidInputError, match="normalized"):
+                protocol.monte_carlo_success(spec, statevector(amps), 1000, rng)
+        with pytest.raises(protocol.qcore.DimensionMismatchError):
+            protocol.monte_carlo_success(spec, basis_state((4,), (0,)), 1000,
+                                         rng)
 
     def test_monte_carlo_input_teleport_qutrit(self):
         # the input teleport succeeds with 1/d^2 also when d is not a

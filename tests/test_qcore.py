@@ -7,8 +7,8 @@ from lccsim import qcore
 from lccsim.qcore import (DimensionMismatchError, HADAMARD, ID2,
                           InvalidInputError, PAULIS, SX, SY, SZ,
                           QuantumState, apply_to_subsystems, basis_state,
-                          format_matrix, format_state, haar_random_unitary,
-                          kron, measure_postselect, parse_matrix, parse_state,
+                          format_matrix, haar_random_unitary,
+                          measure_postselect, parse_matrix,
                           partial_trace, phase_aligned_distance,
                           state_fidelity, statevector, tensor)
 
@@ -21,24 +21,11 @@ def bell_state():
 
 
 class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(ID2, ID2), np.eye(4))
-
-    def test_xx_antidiagonal(self):
-        xx = kron(SX, SX)
-        assert np.allclose(xx, np.fliplr(np.eye(4)))
-
     def test_pauli_products(self):
         assert np.allclose(SX @ SY, 1j * SZ)
         assert np.allclose(SY @ SZ, 1j * SX)
         assert np.allclose(SZ @ SX, 1j * SY)
         assert np.allclose(SX @ SY, -(SY @ SX))
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        c, d = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-        assert np.allclose(kron(a, c) @ kron(b, d), kron(a @ b, c @ d))
 
 
 class TestApplyToSubsystems:
@@ -313,12 +300,6 @@ class TestFileFormat:
     def test_matrix_roundtrip(self):
         u = haar_random_unitary(4, np.random.default_rng(13))
         assert np.abs(parse_matrix(format_matrix(u)) - u).max() < 1e-12
-
-    def test_state_roundtrip(self):
-        st = bell_state()
-        back = parse_state(format_state(st))
-        assert back.dims == st.dims
-        assert np.abs(back.data - st.data).max() < 1e-12
 
     def test_malformed_rejected(self):
         with pytest.raises((InvalidInputError, ValueError)):

@@ -125,26 +125,6 @@ class TestSimulateDataset:
         assert totals["+i"] == pytest.approx(2000.0, abs=1e-9)
         assert totals["0"] == pytest.approx(1000.0, abs=1e-9)
 
-    def test_file_roundtrip(self):
-        rng = np.random.default_rng(1)
-        chi = tm.ideal_chi(gates.gate("U3"))
-        ds = tm.simulate_dataset(chi, 500, rng)
-        back = tm.TomographyDataset.from_text(ds.to_text())
-        assert back.counts == ds.counts
-
-    def test_parse_errors(self):
-        with pytest.raises(InvalidInputError):
-            tm.TomographyDataset.from_text("0 X 0\n")
-        with pytest.raises(InvalidInputError):
-            tm.TomographyDataset.from_text("0 W 0 10\n")
-        with pytest.raises(InvalidInputError):
-            tm.TomographyDataset.from_text("# only comments\n")
-
-    @pytest.mark.parametrize("count", ["inf", "nan", "-1"])
-    def test_non_finite_or_negative_count_rejected(self, count):
-        with pytest.raises(InvalidInputError, match="bad outcome or count"):
-            tm.TomographyDataset.from_text(f"0 Z 0 {count}\n")
-
 
 class TestLinearInversion:
     def test_exact_on_analytic_data(self):
