@@ -2,17 +2,25 @@
 
 The session model follows the measured protocol order: the server runs
 the linear-combination circuit on its EPR halves until the all-zero
-outcome lands, then the client teleports the k-qubit control state with
-postselected Bell measurements (probability 1/4 per qubit).  A verify
-round sends a basis state |i> so that only component V_i acts, and the
-client audits the returned state with a single-shot projective check
-(detection probability 1 - fidelity).
+outcome lands (probability S/n^2, with S = sum_j |V_j psi|^2), then the
+client teleports the k-qubit control state c with postselected Bell
+measurements.  They leave w = sum_j c_j V_j psi on the register and
+complete the round with probability |w|^2/(n S), which is |w|^2/n^2 for
+unitary terms.  A verify round sends a basis state |i> so that only
+component V_i acts, and the client audits the returned state with a
+single-shot projective check (detection probability 1 - fidelity).
+
+The send policy takes its control and decoy states from one
+eigendecomposition of the control rho: the decoy ((1+eps)/n) I - eps rho
+has the same eigenvectors.
 
 An intercepting server measures each control qubit in a fixed basis
 before use.  Verification states are computational-basis states, so a
 computational-basis intercept is invisible to the client; the default
 attack basis is therefore the diagonal (Hadamard) one, the simplest
 measurement that actually randomizes verify outcomes.
+`intercept_detection_rate` is the exact expectation of a round's
+``detected`` flag in such a session.
 """
 
 from __future__ import annotations
@@ -50,11 +58,6 @@ def teleport_postselected(state: QuantumState, source: int,
     return measure_postselect(st, [source, a], (0, 0))
 
 
-def _decoy(rho: np.ndarray, epsilon: float) -> np.ndarray:
-    n = rho.shape[0]
-    return ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
-
-
 def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     """Decoy state rho_m = ((1+eps)/n) I - eps rho.
 
@@ -71,7 +74,7 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     elif not (0.0 < epsilon <= 1.0 / (n - 1)):
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
-    rho_m = _decoy(rho, epsilon)
+    rho_m = ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
     evals = np.linalg.eigvalsh(rho_m)
     if evals.min() < -qcore.ATOL_STRUCT:
         raise InvalidInputError("decoy state is not positive semidefinite")
@@ -109,37 +112,28 @@ class SendPolicy:
     def p_basis(self) -> float:
         return (1.0 - self.tau) / self.n
 
-    def decoy_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenstates of the decoy, with the phase of each
-        eigenvector fixed so its first nonzero component is real positive.
-        `__post_init__` has already checked that the decoy is valid."""
-        evals, evecs = np.linalg.eigh(_decoy(self.control_rho, self.epsilon))
-        evals = np.clip(evals, 0.0, None)
-        for j in range(evecs.shape[1]):
-            col = evecs[:, j]
-            nz = np.flatnonzero(np.abs(col) > 1e-12)[0]
-            evecs[:, j] = col * np.exp(-1j * np.angle(col[nz]))
-        return evals / evals.sum(), evecs
-
-    def control_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        evals, evecs = np.linalg.eigh(self.control_rho)
-        evals = np.clip(evals, 0.0, None)
-        return evals / evals.sum(), evecs
-
     def outcome_table(self) -> tuple[list, np.ndarray]:
-        """All (label, pure state) outcomes of one round with probabilities."""
+        """All (label, pure state) outcomes of one round with probabilities.
+
+        One eigendecomposition of the control rho gives both kinds: the
+        decoy ((1+eps)/n) I - eps rho has rho's eigenvectors, with
+        weights (1+eps)/n - eps lambda, listed in ascending weight.  A
+        weight at rounding-noise scale is zero, and a zero-weight state
+        is not listed.
+        """
         entries = []
         probs = []
-        cw, cv = self.control_spectrum()
-        for j, w in enumerate(cw):
-            if w > 0:
-                entries.append(("compute", cv[:, j]))
-                probs.append(self.p_control * w)
-        dw, dv = self.decoy_spectrum()
-        for j, w in enumerate(dw):
-            if w > 0:
-                entries.append(("decoy", dv[:, j]))
-                probs.append(self.p_decoy * w)
+        lam, vecs = np.linalg.eigh(self.control_rho)
+        # lambda ascends, so the decoy weights ascend in reverse order
+        decoy = (1.0 + self.epsilon) / self.n - self.epsilon * lam[::-1]
+        for kind, p_kind, weights, states in (
+                ("compute", self.p_control, lam, vecs.T),
+                ("decoy", self.p_decoy, decoy, vecs.T[::-1])):
+            weights = qcore._noise_floored(weights)
+            for w, vec in zip(weights / weights.sum(), states):
+                if w > 0:
+                    entries.append((kind, vec))
+                    probs.append(p_kind * w)
         eye = np.eye(self.n, dtype=complex)
         for i in range(self.n):
             entries.append((("verify", i), eye[:, i]))
@@ -310,48 +304,50 @@ class _RoundView:
                               detected)
 
 
-def _lcc_stage(spec: LinearCombinationSpec, input_state: QuantumState
-               ) -> tuple[float, list[np.ndarray | None]]:
-    """LCC-stage success probability and each normalized V_i psi (None
-    where V_i annihilates psi).
+def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
+                    controls: np.ndarray
+                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """A round's LCC stage and control teleport, for each row c of the
+    (m, n) ``controls``: p_lcc, the (n, d) normalized V_i psi, the (m, d)
+    normalized w = sum_j c_j V_j psi and their (m,) completion
+    probabilities.  A vector that vanishes stays 0.
 
     The server's control is its EPR halves, so the LCC stage sees the
-    uniform mixture of the n subspaces: p_lcc = sum_i |V_i psi|^2 / n^2.
+    uniform mixture of the n subspaces: it succeeds with probability
+    p_lcc = S / n^2, where S = sum_i |V_i psi|^2.  The client's
+    postselected Bell measurements then complete the round with
+    probability |w|^2 / (n S), or 0 when S = 0.
     """
-    psi = input_state.data
-    outputs = [g @ psi for g in spec.gates]
-    p_lcc = sum(float(np.vdot(v, v).real) for v in outputs) / spec.n ** 2
-    normalized = []
-    for v in outputs:
-        nv = np.linalg.norm(v)
-        normalized.append(v / nv if nv > 1e-300 else None)
-    return p_lcc, normalized
+    n = spec.n
+    terms = spec.gate_stack @ input_state.data
+    vecs = np.concatenate([terms, (controls[:, :, None] * terms).sum(1)])
+    # a matmul per vector rounds |v|^2 (and below, <a|b>) as np.vdot
+    # does, which keeps the bytes of seeded outputs
+    norm2 = (vecs.conj()[:, None] @ vecs[:, :, None]).real.ravel()
+    norm2[norm2 <= 1e-300] = 0.0  # a vector at underflow scale is zero
+    s = float(norm2[:n].sum())
+    unit = np.divide(vecs, np.sqrt(norm2)[:, None], out=np.zeros_like(vecs),
+                     where=norm2[:, None] > 0)
+    p_complete = norm2[n:] / (n * s) if s > 0 else np.zeros(len(controls))
+    return s / n ** 2, unit[:n], unit[n:], p_complete
 
 
-def _control_outputs(spec: LinearCombinationSpec, input_state: QuantumState,
-                     control: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Postselected output vector and teleport-stage success probability
-    for a given pure control state (server already past the LCC stage)."""
-    w = np.zeros(spec.d, dtype=complex)
-    for c, g in zip(control, spec.gates):
-        w += c * (g @ input_state.data)
-    nrm2 = float(np.vdot(w, w).real)
-    p_teleport = nrm2 / (4.0 ** spec.k)
-    if nrm2 <= 1e-300:
-        return None, 0.0
-    return w / math.sqrt(nrm2), p_teleport
-
-
-def _intercept_outcomes(spec: LinearCombinationSpec, input_state: QuantumState,
-                        basis: str) -> tuple[np.ndarray, list]:
-    """Intercept basis states on the k-qubit control register (columns)
-    and the `_control_outputs` result of each intercept outcome."""
+def _intercept_basis(k: int, basis: str) -> np.ndarray:
+    """The k-qubit product basis an intercepting server measures the
+    control in, one state per column."""
     single = HADAMARD if basis == "x" else np.eye(2, dtype=complex)
     basis_vecs = np.eye(1, dtype=complex)
-    for _ in range(spec.k):
+    for _ in range(k):
         basis_vecs = np.kron(basis_vecs, single)
-    return basis_vecs, [_control_outputs(spec, input_state, basis_vecs[:, m])
-                        for m in range(spec.n)]
+    return basis_vecs
+
+
+def _check_session(spec: LinearCombinationSpec, input_state: QuantumState,
+                   policy: SendPolicy):
+    if policy.n != spec.n:
+        raise qcore.DimensionMismatchError(
+            f"policy dimension {policy.n} != spec term count {spec.n}")
+    _check_input(spec, input_state)
 
 
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
@@ -366,38 +362,38 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     audit the output against V_i |psi> with a single-shot check.  The
     input must be a normalized statevector (within 1e-9).
     """
-    if policy.n != spec.n:
-        raise qcore.DimensionMismatchError(
-            f"policy dimension {policy.n} != spec term count {spec.n}")
-    _check_input(spec, input_state)
-
-    p_lcc, expected = _lcc_stage(spec, input_state)
-    basis_vecs, intercept_results = _intercept_outcomes(
-        spec, input_state, behavior.intercept_basis)
+    _check_session(spec, input_state, policy)
+    n = spec.n
+    entries, send_probs = policy.outcome_table()
+    sent = np.array([vec for _, vec in entries])
+    basis_vecs = _intercept_basis(spec.k, behavior.intercept_basis)
+    # output rows: each sendable state's own, then intercept outcome m's
+    p_lcc, expected, outputs, p_out = _teleport_stage(
+        spec, input_state, np.concatenate([sent, basis_vecs.T]))
     target = spec.combination() @ input_state.data
     norm = np.linalg.norm(target)
     target = target / norm if norm > 1e-300 else None
 
     # one cell per (sendable state, server outcome): entry e owns cells
     # e*(n+1) (honest server) and e*(n+1) + 1 + m (intercept outcome m)
-    entries, send_probs = policy.outcome_table()
-    cells, p_teleport, audit, cdfs = [], [], [], []
-    for label, vec in entries:
+    intercept_rows = list(range(len(entries), len(entries) + n))
+    probs = np.abs(sent @ basis_vecs.conj()) ** 2
+    cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
+    cells, p_complete, audit = [], [], []
+    for e, (label, _) in enumerate(entries):
         kind = label if isinstance(label, str) else label[0]
         verify_index = label[1] if kind == "verify" else None
         ref = (expected[verify_index] if kind == "verify"
                else target if kind == "compute" else None)
-        probs = np.abs(basis_vecs.conj().T @ vec) ** 2
-        cdf = np.cumsum(probs / probs.sum())
+        if ref is not None and not ref.any():  # V_i annihilates the input
+            ref = None
         # rounding must not let a draw fall past the last possible outcome
-        cdf[np.flatnonzero(probs)[-1]:] = 1.0
-        cdfs.append(cdf)
-        outcomes = [_control_outputs(spec, input_state, vec)] + intercept_results
-        for m, (out, p) in enumerate(outcomes):
-            fidelity = (None if ref is None or out is None
-                        else float(abs(np.vdot(ref, out)) ** 2))
+        cdfs[e, np.flatnonzero(probs[e])[-1]:] = 1.0
+        for m, row in enumerate([e] + intercept_rows):
+            fidelity = (None if ref is None
+                        else float(abs(np.vdot(ref, outputs[row])) ** 2))
             cells.append(_Cell(kind, verify_index, m > 0, fidelity))
-            p_teleport.append(p)
+            p_complete.append(p_out[row])
             # a completed verify round is detected when its draw exceeds
             # the fidelity; no other round ever is
             audit.append(fidelity if kind == "verify" and fidelity is not None
@@ -412,12 +408,12 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     u_complete = rng.random(rounds)
     u_detect = rng.random(rounds)
 
-    cell = idx * (spec.n + 1)
+    cell = idx * (n + 1)
     # an intercept outcome is the number of its CDF's entries below the
     # draw, as np.searchsorted(cdf, u) counts them, ties included
     rows = np.flatnonzero(intercepted)
-    cell[rows] += 1 + (np.array(cdfs)[idx[rows]] < u_basis[rows, None]).sum(1)
-    completed = (u_complete < np.array(p_teleport)[cell]) & (p_lcc > 0)
+    cell[rows] += 1 + (cdfs[idx[rows]] < u_basis[rows, None]).sum(1)
+    completed = u_complete < np.array(p_complete)[cell]
     detected = completed & (u_detect > np.array(audit)[cell])
     return ProtocolTranscript(tuple(cells), cell, retries, completed, detected)
 
@@ -425,32 +421,31 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
 def intercept_detection_rate(spec: LinearCombinationSpec,
                              input_state: QuantumState, policy: SendPolicy,
                              behavior: ServerBehavior) -> float:
-    """Exact per-run detection probability under the intercept attack.
+    """Exact per-run detection probability under the intercept attack:
+    the expectation of a `run_session` round's ``detected`` flag.
 
-    Enumerates verify states |i>, intercept outcomes m, and the
-    completion and single-shot check probabilities; compute and decoy
-    rounds never trigger detection, nor do verify rounds whose V_i
+    A verify round sends |i> (probability p_basis each), the server
+    intercepts a fraction f of rounds, and intercept outcome m has
+    probability |B_im|^2, completes with probability p_m and fails the
+    check with probability 1 - |<V_i psi|out_m>|^2, so the rate is
+    p_basis f sum_im |B_im|^2 p_m (1 - |<V_i psi|out_m>|^2).  Compute and
+    decoy rounds never trigger detection, nor do verify rounds whose V_i
     annihilates the input (there is no state to check against).  A
     server that does not intercept is never detected: the rate is 0.
-    The input must be a normalized statevector (within 1e-9).
+    The input must be a normalized statevector (within 1e-9), and the
+    policy must have one dimension per term, as in `run_session`.
     """
-    _check_input(spec, input_state)
+    _check_session(spec, input_state, policy)
     if behavior.mode != "intercept":
         return 0.0
-    _, expected = _lcc_stage(spec, input_state)
-    basis_vecs, intercept_results = _intercept_outcomes(
-        spec, input_state, behavior.intercept_basis)
-    rate = 0.0
-    for i, vi in enumerate(expected):
-        if vi is None:
-            continue
-        for m, (out, p_teleport) in enumerate(intercept_results):
-            p_m = float(abs(basis_vecs[i, m].conjugate()) ** 2)
-            if p_m == 0.0 or out is None:
-                continue
-            miss = 1.0 - float(abs(np.vdot(vi, out)) ** 2)
-            rate += policy.p_basis * behavior.intercept_fraction * p_m * p_teleport * miss
-    return rate
+    basis_vecs = _intercept_basis(spec.k, behavior.intercept_basis)
+    _, expected, outputs, p_complete = _teleport_stage(spec, input_state,
+                                                      basis_vecs.T)
+    # <V_i psi|out_m> at [i, m]
+    overlap = (expected.conj()[:, None, None] @ outputs[:, :, None])[..., 0, 0]
+    miss = np.where(expected.any(1)[:, None], 1.0 - np.abs(overlap) ** 2, 0.0)
+    return float(np.sum(policy.p_basis * behavior.intercept_fraction
+                        * np.abs(basis_vecs) ** 2 * p_complete * miss))
 
 
 def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,
@@ -552,10 +547,10 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
     The input must be a normalized statevector (within 1e-9).
     """
     _check_input(spec, input_state)
-    p_lcc, _ = _lcc_stage(spec, input_state)
-    _, p_teleport = _control_outputs(spec, input_state, spec.coefficients)
+    p_lcc, _, _, (p_complete,) = _teleport_stage(spec, input_state,
+                                                  spec.coefficients[None])
     ok = rng.random(trials) < p_lcc
-    ok &= rng.random(trials) < p_teleport
+    ok &= rng.random(trials) < p_complete
     if include_input_teleport:
         ok &= rng.random(trials) < 1.0 / spec.d ** 2
     return float(np.mean(ok))

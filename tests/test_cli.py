@@ -400,42 +400,57 @@ class TestDispatch:
         assert info.value.code == 2
 
 
-# sha256 of `lccsim protocol` stdout for epsilon 0.5, tau 0.6, 500
-# rounds, seed 7 and, for an intercepting server, intercept fraction 0.7.
+# sha256 of `lccsim protocol` stdout, keyed by operation, behaviour,
+# intercept basis and epsilon, for tau 0.6, 500 rounds, seed 7 and, for
+# an intercepting server, intercept fraction 0.7.
 # A change that moves these bytes must say so and update the digest.
 PROTOCOL_DIGESTS = {
-    ("U2", "honest", None):
+    ("U2", "honest", None, 0.5):
         "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
-    ("U2", "intercept", "x"):
+    ("U2", "intercept", "x", 0.5):
         "82968ceb35e7b1c1d438a3a7fb064a65c7267ca58913451ac6c1dd8337078b15",
-    ("U2", "intercept", "z"):
+    ("U2", "intercept", "z", 0.5):
         "0bd1cb0f5cd4d2b189cb1351529512fc425b16728101e2620177a2b4577dc20b",
-    ("U2", "skip_measurement", None):
+    ("U2", "skip_measurement", None, 0.5):
         "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
-    ("U4", "honest", None):
+    ("U4", "honest", None, 0.5):
         "67b78b913ac6d48f2f5496a0358e887add342a31ae3aa88d9ab6ae036d6e9915",
-    ("U4", "intercept", "x"):
+    ("U4", "intercept", "x", 0.5):
         "c360ab99f56db14170111baf4d635f690757f3edeafa03b5e35c004246a1485c",
-    ("U4", "intercept", "z"):
+    ("U4", "intercept", "z", 0.5):
         "334845a4b2856f4740244a8ac632307b885a6265fac396835792a95aa59f2700",
-    ("U4", "skip_measurement", None):
+    ("U4", "skip_measurement", None, 0.5):
         "67b78b913ac6d48f2f5496a0358e887add342a31ae3aa88d9ab6ae036d6e9915",
-    ("U12", "honest", None):
+    ("U12", "honest", None, 0.5):
         "00e05c8adccf7a48e84ae7c9b589392d43ee3146616d09411ca3c5b9f391b680",
-    ("U12", "intercept", "x"):
+    ("U12", "intercept", "x", 0.5):
         "8cb9c4fcdc962d892f029116c17316b16b7e77b587b8362a618915cd782c091a",
-    ("U12", "intercept", "z"):
+    ("U12", "intercept", "z", 0.5):
         "8aa0278f3f69997d5a4d5ab677cfb5ffcefb46e7d044f8c24cde3018dff7e02b",
-    ("U12", "skip_measurement", None):
+    ("U12", "skip_measurement", None, 0.5):
         "00e05c8adccf7a48e84ae7c9b589392d43ee3146616d09411ca3c5b9f391b680",
+    # at epsilon = 1 a pure control's decoy has a weight of zero, which
+    # rounding can leave at 5.55e-17
+    ("U2", "honest", None, 1.0):
+        "d9d8612cbf2b9e58dbec86a804771646a461d045340ac82817d81bcbd0cc6cf9",
+    ("U2", "intercept", "x", 1.0):
+        "4c13ce249d53b9dd50f51188c01fb8eaeac2ca927b4ce0bbfb7fac532870d2e3",
+    ("U12", "honest", None, 1.0):
+        "50aa870ab93fe390b02bedd309e725d253e0bc4fafedfc63bc31ecdebb02e32b",
+    ("U12", "intercept", "x", 1.0):
+        "1b1be5b53a4b3f2f32c7cfc9d1bfea209bdad76865c75d1a22eed3d1c0438604",
 }
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("operation, behavior, basis", list(PROTOCOL_DIGESTS))
+    # the epsilon = 0.5 scenarios leave epsilon out of their ids
+    @pytest.mark.parametrize("operation, behavior, basis, epsilon", [
+        pytest.param(*key, id="-".join(map(str, key if key[3] != 0.5
+                                           else key[:3])))
+        for key in PROTOCOL_DIGESTS])
     def test_protocol_bytes_pinned(self, tmp_path, capsys, operation,
-                                   behavior, basis):
-        doc = {"operation": operation, "epsilon": 0.5, "tau": 0.6,
+                                   behavior, basis, epsilon):
+        doc = {"operation": operation, "epsilon": epsilon, "tau": 0.6,
                "rounds": 500, "seed": 7, "behavior": behavior}
         if basis:
             doc.update(intercept_fraction=0.7, intercept_basis=basis)
@@ -445,7 +460,8 @@ class TestDeterminism:
         out, err = capsys.readouterr()
         assert err == ""
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == PROTOCOL_DIGESTS[operation, behavior, basis]
+        assert digest == PROTOCOL_DIGESTS[operation, behavior, basis,
+                                          epsilon]
 
     def test_protocol_byte_identical(self, scenario_file, tmp_path):
         a = tmp_path / "a.txt"

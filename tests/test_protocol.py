@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_statevector, random_unitary_combination_spec
-from lccsim import protocol
+from lccsim import gates, protocol
 from lccsim.gates import A_GATE, B_GATE
 from lccsim.lcc import LinearCombinationSpec, cu_linear_spec
 from lccsim.qcore import (ID2, InvalidInputError, SX, SZ,
@@ -29,22 +29,23 @@ def pure_policy(coeffs, epsilon=1.0, tau=0.5):
 
 def reference_session(spec, input_state, policy, behavior, rounds, rng):
     """The per-round session loop `run_session` replaced: one RoundRecord
-    per round, from the same draws in the same order."""
-    p_lcc, expected = protocol._lcc_stage(spec, input_state)
-    basis_vecs, intercept_results = protocol._intercept_outcomes(
-        spec, input_state, behavior.intercept_basis)
+    per round, from the same draws in the same order, with each round's
+    numbers taken from `_teleport_stage`."""
+    entries, send_probs = policy.outcome_table()
+    sent = np.array([vec for _, vec in entries])
+    basis_vecs = protocol._intercept_basis(spec.k, behavior.intercept_basis)
+    p_lcc, expected, outputs, p_complete = protocol._teleport_stage(
+        spec, input_state, np.concatenate([sent, basis_vecs.T]))
     target = spec.combination() @ input_state.data
     target = target / np.linalg.norm(target) if np.linalg.norm(target) > 1e-300 else None
 
-    entries, send_probs = policy.outcome_table()
     table = []
     for label, vec in entries:
         kind = label if isinstance(label, str) else label[0]
         verify_index = label[1] if kind == "verify" else None
         probs = np.abs(basis_vecs.conj().T @ vec) ** 2
         cdf = np.cumsum(probs / probs.sum())
-        honest = protocol._control_outputs(spec, input_state, vec)
-        table.append((kind, verify_index, cdf, honest))
+        table.append((kind, verify_index, cdf))
 
     idx_arr = rng.choice(len(entries), size=rounds, p=send_probs)
     retries_arr = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
@@ -58,20 +59,18 @@ def reference_session(spec, input_state, policy, behavior, rounds, rng):
 
     records = []
     for r in range(rounds):
-        kind, verify_index, cdf, honest = table[idx_arr[r]]
+        kind, verify_index, cdf = table[idx_arr[r]]
         intercepted = bool(intercept_arr[r])
-        if intercepted:
-            m = int(np.searchsorted(cdf, u_basis[r]))
-            out, p_teleport = intercept_results[m]
-        else:
-            out, p_teleport = honest
-        completed = bool(p_lcc > 0 and out is not None
-                         and u_complete[r] < p_teleport)
+        # the sent state's own output row, or intercept outcome m's
+        row = (len(entries) + int(np.searchsorted(cdf, u_basis[r]))
+               if intercepted else int(idx_arr[r]))
+        out = outputs[row]
+        completed = bool(p_lcc > 0 and out.any() and u_complete[r] < p_complete[row])
 
         fidelity = None
         detected = False
         if completed:
-            if kind == "verify" and expected[verify_index] is not None:
+            if kind == "verify" and expected[verify_index].any():
                 fidelity = float(abs(np.vdot(expected[verify_index], out)) ** 2)
                 detected = bool(u_detect[r] > fidelity)
             elif kind == "compute" and target is not None:
@@ -300,6 +299,17 @@ class TestSendPolicy:
         avg = sum(p * np.outer(v, v.conj()) for p, (_, v) in zip(probs, entries))
         assert np.abs(avg - np.eye(4) / 4.0).max() < 1e-12
 
+    def test_no_state_at_rounding_noise_weight(self):
+        # at epsilon = 1 a pure control's decoy weight on the control
+        # itself is 0, which rounding can leave at 5.55e-17
+        for name in gates.COMBINATIONS:
+            pol = pure_policy(gates.combination_spec(name).coefficients,
+                              epsilon=1.0)
+            entries, probs = pol.outcome_table()
+            assert [label for label, _ in entries] == [
+                "compute", "decoy", ("verify", 0), ("verify", 1)], name
+            assert abs(probs.sum() - 1.0) < 1e-12
+
     def test_empirical_average(self):
         rng = np.random.default_rng(7)
         c = random_statevector(2, rng)
@@ -409,6 +419,16 @@ class TestRunSession:
                                  protocol.ServerBehavior(), 10,
                                  np.random.default_rng(0))
 
+    def test_policy_size_mismatch(self):
+        spec, psi = self.spec_and_input()
+        pol = pure_policy([0.5] * 4, epsilon=1 / 3)
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0)
+        with pytest.raises(protocol.qcore.DimensionMismatchError):
+            protocol.intercept_detection_rate(spec, psi, pol, beh)
+        with pytest.raises(protocol.qcore.DimensionMismatchError):
+            protocol.run_session(spec, psi, pol, beh, 10,
+                                 np.random.default_rng(0))
+
     @pytest.mark.parametrize("amps", [[3, 0], [0.5, 0], [0, 0], [R2, 0.5]])
     def test_unnormalized_input_rejected(self, amps):
         # a norm of 3 makes p_lcc exceed 1, a norm of 0.5 shrinks it 4x,
@@ -433,6 +453,77 @@ class TestRunSession:
                                   np.random.default_rng(0))
         assert len(tr.rounds) == 10
         assert protocol.intercept_detection_rate(spec, psi, pol, beh) > 0
+
+
+def state_level_round(spec, psi, control):
+    """One honest round on the full register: the client's control
+    qubits c, EPR pairs (a, b) between client and server, and the
+    server's register.  The server applies V_j conditioned on its halves
+    b = j, Hadamards them and postselects all zeros; then the client
+    Bell-measures each c against its a with postselection.  Returns the
+    LCC stage's probability, the teleports' probability given it, and
+    the register's state."""
+    n, d, k = spec.n, spec.d, spec.k
+    st = tensor(statevector(control, dims=(2,) * k),
+                *[protocol.epr_pair()] * k, psi)
+    halves, register = [k + 2 * q + 1 for q in range(k)], 3 * k
+    select = np.zeros((n * d, n * d), dtype=complex)
+    for j, g in enumerate(spec.gates):
+        select[j * d:(j + 1) * d, j * d:(j + 1) * d] = g
+    st = protocol.apply_to_subsystems(st, select, halves + [register])
+    for b in halves:
+        st = protocol.apply_to_subsystems(st, protocol.HADAMARD, [b])
+    lcc = protocol.measure_postselect(st, halves, (0,) * k)
+    st, p_teleport = lcc.remainder, 1.0
+    for q in range(k):
+        # c_q is now subsystem 0 and a_q subsystem k - q; b_q is measured
+        # already, so the register, subsystem 2(k - q), receives c_q
+        out = protocol.teleport_postselected(st, 0, (k - q, 2 * (k - q)))
+        st, p_teleport = out.remainder, p_teleport * out.probability
+    return lcc.probability, p_teleport, st.data
+
+
+class TestStateLevelRound:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_honest_round_matches_circuit(self, n, d, unitary):
+        # non-unitary terms have S = sum_j |V_j psi|^2 != n, where a
+        # completion of |w|^2 / n^2 is off by n / S
+        rng = np.random.default_rng(100 * n + 10 * d + unitary)
+        terms = []
+        for _ in range(n):
+            if unitary:
+                terms.append(haar_random_unitary(d, rng))
+            else:
+                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                terms.append(g / np.linalg.norm(g, 2) * rng.uniform(0.3, 1.0))
+        spec = LinearCombinationSpec(random_statevector(n, rng), terms)
+        psi = statevector(random_statevector(d, rng))
+        policy = pure_policy(spec.coefficients,
+                             epsilon=0.5 / max(n - 1, 1), tau=0.5)
+        entries, _ = policy.outcome_table()
+        assert {label if isinstance(label, str) else label[0]
+                for label, _ in entries} == {"compute", "decoy", "verify"}
+        sent = np.array([vec for _, vec in entries])
+        p_lcc, _, outputs, p_complete = protocol._teleport_stage(spec, psi, sent)
+        cells = protocol.run_session(spec, psi, policy,
+                                     protocol.ServerBehavior(), 0,
+                                     np.random.default_rng(0)).cells
+        for e, (label, vec) in enumerate(entries):
+            p_lcc_circuit, p_teleport, out = state_level_round(spec, psi, vec)
+            assert abs(p_lcc_circuit - p_lcc) < 1e-12
+            assert abs(p_teleport - p_complete[e]) < 1e-12
+            assert abs(abs(np.vdot(outputs[e], out)) ** 2 - 1.0) < 1e-12
+            if label == "compute":
+                want = spec.combination() @ psi.data
+            elif label == "decoy":
+                assert cells[e * (n + 1)].fidelity is None
+                continue
+            else:
+                want = spec.gates[label[1]] @ psi.data
+            fidelity = abs(np.vdot(want / np.linalg.norm(want), out)) ** 2
+            assert abs(cells[e * (n + 1)].fidelity - fidelity) < 1e-12
 
 
 class TestColumnarTranscript:
@@ -488,7 +579,7 @@ class TestColumnarTranscript:
         policy = pure_policy(spec.coefficients, epsilon=0.3)
         behavior = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0,
                                            intercept_basis=basis)
-        basis_vecs, _ = protocol._intercept_outcomes(spec, psi, basis)
+        basis_vecs = protocol._intercept_basis(spec.k, basis)
         probs = np.array([np.abs(basis_vecs.conj().T @ vec) ** 2
                           for _, vec in policy.outcome_table()[0]])
         cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
@@ -518,13 +609,16 @@ class TestColumnarTranscript:
 
     def test_huge_retry_counts(self):
         # p_lcc = 5e-7, so the LCC stage takes about 10^7 attempts a round;
-        # the text must not build a table as long as the largest count
+        # the text must not build a table as long as the largest count.
+        # S = 2e-6 as well, so a round then completes with |w|^2 / (n S),
+        # a quarter here
         spec = LinearCombinationSpec((R2, R2), (1e-3 * ID2, 1e-3 * SX))
         psi, policy = basis_state((2,), (0,)), pure_policy(spec.coefficients)
         behavior = protocol.ServerBehavior()
         tr = protocol.run_session(spec, psi, policy, behavior, 50,
                                   np.random.default_rng(1))
         assert tr.lcc_retries.max() > 5_000_000
+        assert tr.completed_rounds > 0
         tracemalloc.start()
         try:
             text = tr.to_text()
