@@ -9,16 +9,20 @@ after the block-diagonal sum, returning every branch to subspace 0
 before the control register is Hadamarded.
 
 Neither form builds a full-register matrix.  The joint amplitudes are
-reshaped to (control, subspace, d): a controlled subspace swap is a
-permutation of the subspace axis that depends on the control label, and
-the block-diagonal sum is one batched matrix-vector product over the
-term axis, against the spec's gates held as one read-only (n, d, d)
-stack.  H^(x)k on the control register is k butterflies (a+b, a-b) over
-the control axis and one 1/sqrt(n) scale; the postselected all-zero
-branch is then row 0 of the (control, rest) amplitudes.  Memory is
-O(n^2 d) for the extended circuit, the size of its state.  The dense
-builders ``subspace_swap`` and ``sum_operation`` remain for inspection
-and tests.
+held as (control, subspace, d), and each step is one numpy call:
+
+- a controlled subspace swap permutes the (control, subspace) rows,
+  one ``np.take`` with a flat index cached per n;
+- the block-diagonal sum is one batched matmul with the term axis
+  first, the spec's read-only (n, d, d) gate stack against the
+  amplitudes transposed to (subspace, d, control);
+- H^(x)k on the control register is one real matmul of the cached
+  (n, n) Sylvester matrix, entries +-1/sqrt(n), with the float64 view
+  of the (control, rest) rows.
+
+The postselected all-zero branch is then row 0.  Memory is O(n^2 d) for
+the extended circuit, the size of its state.  The dense builders
+``subspace_swap`` and ``sum_operation`` remain for inspection and tests.
 """
 
 from __future__ import annotations
@@ -133,6 +137,32 @@ def _swap_table(n: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _swap_index(n: int) -> np.ndarray:
+    """Flat index c*n + sigma_c(s) of the (control c, subspace s) pairs.
+
+    Gathering the (n*n, d) amplitude rows by it applies the controlled
+    swaps sum_c |c><c| (x) X^(0,c).  Cached per n, hence read-only.
+    """
+    index = (np.arange(n)[:, None] * n + _swap_table(n)).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
+def _hadamard_matrix(n: int) -> np.ndarray:
+    """(n, n) real Sylvester matrix H^(x)k, entries +-1/sqrt(n).
+
+    Entry (r, c) is (-1)^popcount(r & c) / sqrt(n): the parity is the
+    dot product of the bit vectors of r and c.  Cached per n, hence
+    read-only.
+    """
+    bits = (np.arange(n)[:, None] >> np.arange(n.bit_length() - 1)) & 1
+    matrix = (1 - 2 * ((bits @ bits.T) & 1)) / math.sqrt(n)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def subspace_swap(j: int, d: int, n: int) -> np.ndarray:
     """Permutation X^(0,j) exchanging subspaces 0 and j of an (n*d)-dim target."""
     if not 1 <= j <= n - 1:
@@ -169,22 +199,14 @@ def _finish(amps: np.ndarray, spec: LinearCombinationSpec,
             target_dims: tuple[int, ...]) -> LccRunResult:
     """Hadamard every control qubit, postselect all-zero, slice subspace 0.
 
-    ``amps`` is the joint state with the control label on axis 0; it is
-    overwritten.  Each control qubit is one butterfly (a+b, a-b) over the
-    pairs of control rows its bit tells apart, the 1/sqrt(2) factors are
-    applied once as 1/sqrt(n), and the all-zero outcome is row 0.
+    ``amps`` is the joint state with the control label on axis 0.  H^(x)k
+    is one real matmul of the cached Sylvester matrix with the float64
+    view of the contiguous (control, rest) rows, which applies it to the
+    real and imaginary parts at once; the all-zero outcome is row 0.
     """
     n, d = spec.n, spec.d
-    # C order, so every reshape below is a view of the same buffer
     rows = np.ascontiguousarray(amps).reshape(n, -1)
-    for q in range(spec.k):
-        # big-endian: control qubit q is axis 1 of this view
-        pairs = rows.reshape(2 ** q, 2, -1)
-        a, b = pairs[:, 0], pairs[:, 1]
-        diff = a - b
-        a += b
-        b[...] = diff
-    rows /= math.sqrt(n)
+    rows = (_hadamard_matrix(n) @ rows.view(np.float64)).view(complex)
     joint = QuantumState("statevector", _control_dims(spec) + target_dims,
                          rows.reshape(-1))
     branch = rows[0]
@@ -199,8 +221,18 @@ def _finish(amps: np.ndarray, spec: LinearCombinationSpec,
 
 
 def _apply_blocks(spec: LinearCombinationSpec, amps: np.ndarray) -> np.ndarray:
-    """V_j applied to block j of the (..., n, d)-shaped amplitudes."""
-    return np.einsum("sab,...sb->...sa", spec.gate_stack, amps)
+    """V_j applied to block j of the (control, n, d)-shaped amplitudes.
+
+    One batched matmul with the term axis first: the (n, d, d) gate stack
+    times the amplitudes transposed to (n, d, control), transposed back.
+    """
+    return (spec.gate_stack @ amps.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _swap(amps: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Controlled subspace swaps sum_c |c><c|_C (x) X^(0,c), as one gather:
+    amplitude (c, s) takes the one at (c, sigma_c(s))."""
+    return np.take(amps.reshape(n * n, d), _swap_index(n), axis=0)
 
 
 def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
@@ -216,13 +248,10 @@ def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunRes
     # alpha (x) (psi embedded in subspace 0 of the (n*d)-dim target)
     amps = np.zeros((n, n, d), dtype=complex)
     amps[:, 0] = np.multiply.outer(spec.coefficients, input_state.data)
-    # controlled subspace swaps sum_c |c><c|_C (x) X^(0,c), as a gather:
-    # amplitude (c, s) takes the one at (c, sigma_c(s))
-    swap = (np.arange(n)[:, None], _swap_table(n))
-    amps = _apply_blocks(spec, amps[swap])
+    amps = _apply_blocks(spec, _swap(amps, n, d).reshape(n, n, d))
     # second pass of the controlled swaps brings every branch back to
     # subspace 0 before the Hadamards (swaps are involutory)
-    return _finish(amps[swap], spec, (n * d,))
+    return _finish(_swap(amps, n, d), spec, (n * d,))
 
 
 def run_lcc_controlled_form(spec: LinearCombinationSpec,
@@ -232,10 +261,9 @@ def run_lcc_controlled_form(spec: LinearCombinationSpec,
     Agrees with run_lcc on output state and success probability.
     """
     _check_input(spec, input_state)
-    # alpha (x) psi, row j holding alpha_j psi
-    amps = _apply_blocks(spec, np.multiply.outer(spec.coefficients,
-                                                 input_state.data))
-    return _finish(amps, spec, input_state.dims)
+    # alpha (x) psi, row j holding alpha_j psi, as a single control row
+    amps = np.multiply.outer(spec.coefficients, input_state.data)
+    return _finish(_apply_blocks(spec, amps[None])[0], spec, input_state.dims)
 
 
 def lcc_success_probability(spec: LinearCombinationSpec,

@@ -83,7 +83,11 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SendPolicy:
-    """Per-round sending distribution over control, decoy, and verify states."""
+    """Per-round sending distribution over control, decoy, and verify states.
+
+    ``control_rho`` must be a density matrix: Hermitian and positive
+    semidefinite to ATOL_STRUCT, with trace 1 to within 1e-9.
+    """
 
     epsilon: float
     tau: float
@@ -94,7 +98,13 @@ class SendPolicy:
         object.__setattr__(self, "control_rho", rho)
         if not 0.0 < self.tau < 1.0:
             raise InvalidInputError("tau must lie in (0,1)")
-        make_decoy(rho, self.n, self.epsilon)  # validates epsilon and PSD
+        make_decoy(rho, self.n, self.epsilon)  # validates shape, epsilon, decoy
+        if (np.abs(rho - rho.conj().T).max() > qcore.ATOL_STRUCT
+                or abs(np.trace(rho) - 1.0) > 1e-9
+                or np.linalg.eigvalsh(rho)[0] < -qcore.ATOL_STRUCT):
+            raise InvalidInputError(
+                "control state is not a density matrix: it must be "
+                "Hermitian and positive semidefinite with trace 1")
 
     @property
     def n(self) -> int:
@@ -390,8 +400,9 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
         # rounding must not let a draw fall past the last possible outcome
         cdfs[e, np.flatnonzero(probs[e])[-1]:] = 1.0
         for m, row in enumerate([e] + intercept_rows):
+            # rounding can carry |<ref|out>|^2 just past 1
             fidelity = (None if ref is None
-                        else float(abs(np.vdot(ref, outputs[row])) ** 2))
+                        else min(1.0, float(abs(np.vdot(ref, outputs[row])) ** 2)))
             cells.append(_Cell(kind, verify_index, m > 0, fidelity))
             p_complete.append(p_out[row])
             # a completed verify round is detected when its draw exceeds
@@ -443,7 +454,9 @@ def intercept_detection_rate(spec: LinearCombinationSpec,
                                                       basis_vecs.T)
     # <V_i psi|out_m> at [i, m]
     overlap = (expected.conj()[:, None, None] @ outputs[:, :, None])[..., 0, 0]
-    miss = np.where(expected.any(1)[:, None], 1.0 - np.abs(overlap) ** 2, 0.0)
+    # clamped at 0: rounding can carry |<V_i psi|out_m>|^2 just past 1
+    miss = np.where(expected.any(1)[:, None],
+                    np.maximum(1.0 - np.abs(overlap) ** 2, 0.0), 0.0)
     return float(np.sum(policy.p_basis * behavior.intercept_fraction
                         * np.abs(basis_vecs) ** 2 * p_complete * miss))
 

@@ -410,25 +410,25 @@ PROTOCOL_DIGESTS = {
     ("U2", "intercept", "x", 0.5):
         "82968ceb35e7b1c1d438a3a7fb064a65c7267ca58913451ac6c1dd8337078b15",
     ("U2", "intercept", "z", 0.5):
-        "0bd1cb0f5cd4d2b189cb1351529512fc425b16728101e2620177a2b4577dc20b",
+        "576feee7801574719843046d3a508af3085a055f14ace23a5e20f28b624f5dd2",
     ("U2", "skip_measurement", None, 0.5):
         "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
     ("U4", "honest", None, 0.5):
-        "67b78b913ac6d48f2f5496a0358e887add342a31ae3aa88d9ab6ae036d6e9915",
+        "b1f99c83b466a1c30c1d65ad2f6fc831614b021ee4dce4cd2a6564d3d5b41841",
     ("U4", "intercept", "x", 0.5):
         "c360ab99f56db14170111baf4d635f690757f3edeafa03b5e35c004246a1485c",
     ("U4", "intercept", "z", 0.5):
-        "334845a4b2856f4740244a8ac632307b885a6265fac396835792a95aa59f2700",
+        "8ec9de89a543447b8c1e7101516f96f0f5415513c89278656d68142642c47a59",
     ("U4", "skip_measurement", None, 0.5):
-        "67b78b913ac6d48f2f5496a0358e887add342a31ae3aa88d9ab6ae036d6e9915",
+        "b1f99c83b466a1c30c1d65ad2f6fc831614b021ee4dce4cd2a6564d3d5b41841",
     ("U12", "honest", None, 0.5):
-        "00e05c8adccf7a48e84ae7c9b589392d43ee3146616d09411ca3c5b9f391b680",
+        "509459df85d464c2d31147246282159a2f7912d54bafaded4de1e3e3c39fc685",
     ("U12", "intercept", "x", 0.5):
-        "8cb9c4fcdc962d892f029116c17316b16b7e77b587b8362a618915cd782c091a",
+        "f0d54c6e08b278c3720aa2467776f93b93094a6ad545af4249ae5b9286bb8c86",
     ("U12", "intercept", "z", 0.5):
-        "8aa0278f3f69997d5a4d5ab677cfb5ffcefb46e7d044f8c24cde3018dff7e02b",
+        "ceef2786b2fddf6b98d588079ce4eadad80f68cb5bc9349bde180cee04ca6729",
     ("U12", "skip_measurement", None, 0.5):
-        "00e05c8adccf7a48e84ae7c9b589392d43ee3146616d09411ca3c5b9f391b680",
+        "509459df85d464c2d31147246282159a2f7912d54bafaded4de1e3e3c39fc685",
     # at epsilon = 1 a pure control's decoy has a weight of zero, which
     # rounding can leave at 5.55e-17
     ("U2", "honest", None, 1.0):
@@ -436,9 +436,9 @@ PROTOCOL_DIGESTS = {
     ("U2", "intercept", "x", 1.0):
         "4c13ce249d53b9dd50f51188c01fb8eaeac2ca927b4ce0bbfb7fac532870d2e3",
     ("U12", "honest", None, 1.0):
-        "50aa870ab93fe390b02bedd309e725d253e0bc4fafedfc63bc31ecdebb02e32b",
+        "33d5729d38dc5b3d6654b3d69e411a117e83e9356fc03d5bba8b4f3249411bb4",
     ("U12", "intercept", "x", 1.0):
-        "1b1be5b53a4b3f2f32c7cfc9d1bfea209bdad76865c75d1a22eed3d1c0438604",
+        "8a1a5e3c3561615cbf76384459ba19fe10f5e4859742d643c1a0d196e0714293",
 }
 
 

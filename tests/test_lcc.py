@@ -1,6 +1,11 @@
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +204,11 @@ class TestRunLcc:
                                              direct) < 1e-10
 
 
+def hadamard_power(k):
+    """H^(x)k as the k-fold np.kron of the single-qubit Hadamard."""
+    return functools.reduce(np.kron, [HADAMARD] * k, np.ones((1, 1)))
+
+
 def dense_run_lcc(spec, psi):
     """Reference extended circuit with dense controlled-swap matrices.
 
@@ -210,10 +220,7 @@ def dense_run_lcc(spec, psi):
     cswap = sum(np.kron(np.diag(np.eye(n)[j]),
                         np.eye(n * d) if j == 0 else subspace_swap(j, d, n))
                 for j in range(n))
-    hadamards = np.ones((1, 1))
-    for _ in range(k):
-        hadamards = np.kron(hadamards, HADAMARD)
-    circuit = (np.kron(hadamards, np.eye(n * d)) @ cswap
+    circuit = (np.kron(hadamard_power(k), np.eye(n * d)) @ cswap
                @ np.kron(np.eye(n), sum_operation(spec)) @ cswap)
     pre = circuit @ joint
     branch = pre[:n * d]
@@ -229,10 +236,7 @@ def dense_run_controlled_form(spec, psi):
     joint = np.kron(spec.coefficients, psi)
     select = sum(np.kron(np.diag(np.eye(n)[j]), g)
                  for j, g in enumerate(spec.gates))
-    hadamards = np.ones((1, 1))
-    for _ in range(k):
-        hadamards = np.kron(hadamards, HADAMARD)
-    pre = np.kron(hadamards, np.eye(d)) @ select @ joint
+    pre = np.kron(hadamard_power(k), np.eye(d)) @ select @ joint
     branch = pre[:d]
     return pre, float(np.vdot(branch, branch).real), branch / np.linalg.norm(branch)
 
@@ -339,6 +343,97 @@ class TestRunLccAtScale:
                    - float(np.vdot(direct, direct).real) / n) < 1e-12
         assert vector_phase_distance(res.output_state.data,
                                      direct / np.linalg.norm(direct)) < 1e-10
+
+
+def blockwise_reference(spec, psi, extended):
+    """Both circuit forms from the dense ``subspace_swap`` and
+    ``sum_operation`` (extended) or the gates (controlled), one control
+    row at a time, then H^(x)k as a dense matrix on the control rows; no
+    full-register matrix, so n = 128 fits.  Same returns as dense_run_lcc.
+    """
+    n, d = spec.n, spec.d
+    if extended:
+        ext = embed_input(spec, statevector(psi)).data
+        blocks = sum_operation(spec)
+        swaps = [np.eye(n * d)] + [subspace_swap(c, d, n) for c in range(1, n)]
+        rows = [a * (x @ blocks @ x @ ext)
+                for a, x in zip(spec.coefficients, swaps)]
+    else:
+        rows = [a * (g @ psi) for a, g in zip(spec.coefficients, spec.gates)]
+    pre = hadamard_power(spec.k) @ np.array(rows)
+    branch = pre[0]
+    assert np.abs(branch[d:]).max(initial=0.0) < 1e-12
+    return (pre.reshape(-1), float(np.vdot(branch, branch).real),
+            branch[:d] / np.linalg.norm(branch[:d]))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("k", range(8))
+    def test_hadamard_matrix_is_kron_power(self, k):
+        h = lcc._hadamard_matrix(2 ** k)
+        assert h.dtype == np.float64
+        assert np.abs(h - hadamard_power(k)).max() < 1e-15
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_swap_index_reproduces_subspace_swap(self, n, d):
+        index = lcc._swap_index(n)
+        with pytest.raises(ValueError):
+            index[0] = 1
+        amps = np.random.default_rng(n + d).normal(size=(n, n * d))
+        swapped = np.take(amps.reshape(n * n, d), index, axis=0).reshape(n, -1)
+        assert np.array_equal(swapped[0], amps[0])
+        for c in range(1, n):
+            assert np.array_equal(swapped[c], subspace_swap(c, d, n) @ amps[c])
+
+    @pytest.mark.parametrize("n, d, unitary", [
+        (1, 2, True), (1, 3, False), (2, 2, False), (8, 3, False),
+        (128, 2, True), (128, 2, False)])
+    def test_forms_match_blockwise_reference(self, n, d, unitary):
+        rng = np.random.default_rng(300 * n + d)
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        terms = (tuple(haar_random_unitary(d, rng) for _ in range(n))
+                 if unitary else
+                 tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                       for _ in range(n)))
+        spec = LinearCombinationSpec(alpha / np.linalg.norm(alpha), terms)
+        psi = random_statevector(d, rng)
+        for form, extended in ((run_lcc, True), (run_lcc_controlled_form, False)):
+            pre, p, out = blockwise_reference(spec, psi, extended)
+            res = form(spec, statevector(psi))
+            assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+            assert abs(res.success_probability - p) < 1e-12
+            assert np.abs(res.output_state.data - out).max() < 1e-12
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the Hadamard and block matmuls go through BLAS; large enough
+        # shapes that a threaded BLAS splits them
+        script = (
+            "import hashlib, numpy as np\n"
+            "from lccsim import lcc\n"
+            "rng = np.random.default_rng(5)\n"
+            "h = hashlib.sha256()\n"
+            "for n, d in ((2, 2), (16, 4), (64, 8), (128, 8)):\n"
+            "    a = rng.normal(size=n) + 1j * rng.normal(size=n)\n"
+            "    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))\n"
+            "    spec = lcc.LinearCombinationSpec(a / np.linalg.norm(a), tuple(g))\n"
+            "    psi = lcc.statevector(np.eye(d)[0])\n"
+            "    for form in (lcc.run_lcc, lcc.run_lcc_controlled_form):\n"
+            "        res = form(spec, psi)\n"
+            "        h.update(res.pre_measurement_state.data.tobytes())\n"
+            "        h.update(repr(res.success_probability).encode())\n"
+            "print(h.hexdigest())\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
 
 class TestControlledForm:

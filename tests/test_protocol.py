@@ -70,11 +70,12 @@ def reference_session(spec, input_state, policy, behavior, rounds, rng):
         fidelity = None
         detected = False
         if completed:
+            # a fidelity is capped at 1, where rounding can carry it past
             if kind == "verify" and expected[verify_index].any():
-                fidelity = float(abs(np.vdot(expected[verify_index], out)) ** 2)
+                fidelity = min(1.0, float(abs(np.vdot(expected[verify_index], out)) ** 2))
                 detected = bool(u_detect[r] > fidelity)
             elif kind == "compute" and target is not None:
-                fidelity = float(abs(np.vdot(target, out)) ** 2)
+                fidelity = min(1.0, float(abs(np.vdot(target, out)) ** 2))
         records.append(protocol.RoundRecord(
             r, kind, verify_index, intercepted, int(retries_arr[r]), completed,
             fidelity, detected))
@@ -310,6 +311,18 @@ class TestSendPolicy:
                 "compute", "decoy", ("verify", 0), ("verify", 1)], name
             assert abs(probs.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("rho", [
+        0.5 * np.diag([1.0, 0.0]),            # trace 1/2
+        np.array([[0.5, 0.5], [0.5, 0.2]]),   # trace 0.7, eigenvalue -0.17
+        np.array([[0.5, 0.5], [0.1, 0.5]]),   # not Hermitian
+        np.array([[1.2, 0.0], [0.0, -0.2]]),  # trace 1, eigenvalue -0.2
+    ])
+    def test_control_must_be_a_density_matrix(self, rho):
+        # the decoy identity holds for any rho, so it cannot catch these
+        assert protocol.verify_decoy_identity(rho, 0.5) < 1e-12
+        with pytest.raises(InvalidInputError):
+            protocol.SendPolicy(epsilon=0.5, tau=0.5, control_rho=rho)
+
     def test_empirical_average(self):
         rng = np.random.default_rng(7)
         c = random_statevector(2, rng)
@@ -400,6 +413,33 @@ class TestRunSession:
                     500, np.random.default_rng(15)).to_text()
                  for mode in ("honest", "skip_measurement")}
         assert texts["honest"] == texts["skip_measurement"]
+
+    @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
+    def test_z_basis_rate_not_negative(self, name):
+        # the exact rate is 0; 1 - |<V_i psi|out_m>|^2 can round to -2e-16
+        spec = gates.combination_spec(name)
+        pol = pure_policy(spec.coefficients, epsilon=0.5, tau=0.6)
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=0.7,
+                                      intercept_basis="z")
+        for amps in ([1, 0], [0, 1], [R2, 1j * R2]):
+            rate = protocol.intercept_detection_rate(
+                spec, statevector(amps), pol, beh)
+            assert 0.0 <= rate < 1e-12, (name, amps, rate)
+
+    @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
+    def test_fidelities_within_unit_interval(self, name):
+        # rounding can carry |<ref|out>|^2 to 1.0000000000000002
+        spec = gates.combination_spec(name)
+        pol = pure_policy(spec.coefficients, epsilon=0.5, tau=0.6)
+        for beh in (protocol.ServerBehavior(),
+                    protocol.ServerBehavior(mode="intercept",
+                                            intercept_fraction=0.7,
+                                            intercept_basis="z")):
+            tr = protocol.run_session(spec, basis_state((2,), (0,)), pol, beh,
+                                      500, np.random.default_rng(7))
+            fids = [r.fidelity for r in tr.rounds if r.fidelity is not None]
+            assert fids and all(0.0 <= f <= 1.0 for f in fids), name
+            assert 0.0 <= tr.summary()["mean_compute_fidelity"] <= 1.0, name
 
     @pytest.mark.parametrize("mode", ["honest", "skip_measurement"])
     def test_no_detection_rate_without_intercept(self, mode):
