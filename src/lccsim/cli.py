@@ -76,7 +76,7 @@ def cmd_lcc(args) -> int:
     except InvalidInputError as exc:
         if "unknown gate name" in str(exc):
             raise _CliError(EXIT_UNKNOWN_NAME, str(exc)) from None
-        raise _CliError(EXIT_PARSE, f"invalid spec: {exc}") from None
+        raise _CliError(EXIT_PRECONDITION, f"invalid spec: {exc}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_PARSE, f"invalid spec: {exc}") from None
     if input_state is None:

@@ -8,20 +8,14 @@ outcome.  In the extended circuit the controlled swaps run a second time
 after the block-diagonal sum, returning every branch to subspace 0
 before the control register is Hadamarded.
 
-Neither form builds a full-register matrix.  The joint amplitudes are
-held as (control, subspace, d), and each step is one numpy call:
-
-- a controlled subspace swap permutes the (control, subspace) rows,
-  one ``np.take`` with a flat index cached per n;
-- the block-diagonal sum is one batched matmul with the term axis
-  first, the spec's read-only (n, d, d) gate stack against the
-  amplitudes transposed to (subspace, d, control);
-- H^(x)k on the control register is one real matmul of the cached
-  (n, n) Sylvester matrix, entries +-1/sqrt(n), with the float64 view
-  of the (control, rest) rows.
-
-The postselected all-zero branch is then row 0.  Memory is O(n^2 d) for
-the extended circuit, the size of its state.  The dense builders
+Neither form builds a full-register matrix; both run one kernel.  One
+batched matmul with the term axis first, the spec's read-only (n, d, d)
+gate stack against alpha (x) psi, gives the rows alpha_c V_c psi, and
+H^(x)k on the control register is one real matmul of the cached (n, n)
+Sylvester matrix, entries +-1/sqrt(n), with their float64 view.  The
+postselected all-zero branch is row 0.  The extended circuit's state is
+these rows in subspace 0 and exact zeros elsewhere (see ``run_lcc``), so
+it costs O(n d^2) work and one O(n^2 d) state.  The dense builders
 ``subspace_swap`` and ``sum_operation`` remain for inspection and tests.
 """
 
@@ -75,6 +69,8 @@ class LinearCombinationSpec:
             stack = None
         if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise InvalidInputError("all gates must be square of equal size")
+        if not (np.isfinite(alpha).all() and np.isfinite(stack).all()):
+            raise InvalidInputError("coefficients and gates must be finite")
         stack.flags.writeable = False
         object.__setattr__(self, "gate_stack", stack)
         object.__setattr__(self, "gates", tuple(stack))
@@ -138,18 +134,6 @@ def _swap_table(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _swap_index(n: int) -> np.ndarray:
-    """Flat index c*n + sigma_c(s) of the (control c, subspace s) pairs.
-
-    Gathering the (n*n, d) amplitude rows by it applies the controlled
-    swaps sum_c |c><c| (x) X^(0,c).  Cached per n, hence read-only.
-    """
-    index = (np.arange(n)[:, None] * n + _swap_table(n)).reshape(-1)
-    index.flags.writeable = False
-    return index
-
-
-@functools.cache
 def _hadamard_matrix(n: int) -> np.ndarray:
     """(n, n) real Sylvester matrix H^(x)k, entries +-1/sqrt(n).
 
@@ -191,48 +175,46 @@ def _check_input(spec: LinearCombinationSpec, input_state: QuantumState):
     if input_state.kind != "statevector" or input_state.total_dim != spec.d:
         raise qcore.DimensionMismatchError(
             f"input must be a {spec.d}-dim statevector")
-    if not input_state.is_normalized(atol=1e-9):
+    psi = input_state.data
+    if abs(math.sqrt(np.vdot(psi, psi).real) - 1.0) > 1e-9:
         raise InvalidInputError("input state must be normalized")
 
 
-def _finish(amps: np.ndarray, spec: LinearCombinationSpec,
-            target_dims: tuple[int, ...]) -> LccRunResult:
-    """Hadamard every control qubit, postselect all-zero, slice subspace 0.
+def _run(spec: LinearCombinationSpec, input_state: QuantumState,
+         extended: bool) -> LccRunResult:
+    """Both circuit forms: the rows H^(x)k (alpha_c V_c psi), postselected.
 
-    ``amps`` is the joint state with the control label on axis 0.  H^(x)k
-    is one real matmul of the cached Sylvester matrix with the float64
-    view of the contiguous (control, rest) rows, which applies it to the
-    real and imaginary parts at once; the all-zero outcome is row 0.
+    H^(x)k multiplies the float64 view of the (n, d) rows, which applies
+    it to their real and imaginary parts at once.  The controlled form's
+    joint state is the rows; the extended form's is the rows in column
+    block 0 (subspace 0) of a zeroed (n, n*d) register.  A success
+    probability that overflows is an error, and numpy's floating-point
+    warnings stay off stderr.
     """
+    _check_input(spec, input_state)
     n, d = spec.n, spec.d
-    rows = np.ascontiguousarray(amps).reshape(n, -1)
-    rows = (_hadamard_matrix(n) @ rows.view(np.float64)).view(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = spec.gate_stack @ np.multiply.outer(
+            spec.coefficients, input_state.data)[:, :, None]
+        rows = (_hadamard_matrix(n)
+                @ terms.reshape(n, d).view(np.float64)).view(complex)
+        p = float(np.vdot(rows[0], rows[0]).real)
+    if not math.isfinite(p):
+        raise InvalidInputError(
+            "the success probability overflows: the gates are too large")
+    if extended:
+        amps = np.zeros((n, n * d), dtype=complex)
+        amps[:, :d] = rows
+        target_dims = (n * d,)
+    else:
+        amps, target_dims = rows, input_state.dims
     joint = QuantumState("statevector", _control_dims(spec) + target_dims,
-                         rows.reshape(-1))
-    branch = rows[0]
-    p = float(np.vdot(branch, branch).real)
+                         amps.reshape(-1))
     # probabilities at rounding-noise scale are a vanishing combination
     if p < ATOL_STRUCT ** 2:
         return LccRunResult(False, 0.0, None, joint)
-    # the postselected branch lives entirely in subspace 0
-    target = branch[:d]
-    out = statevector(target / np.linalg.norm(target), dims=(d,))
+    out = statevector(rows[0] / math.sqrt(p), dims=(d,))
     return LccRunResult(True, p, out, joint)
-
-
-def _apply_blocks(spec: LinearCombinationSpec, amps: np.ndarray) -> np.ndarray:
-    """V_j applied to block j of the (control, n, d)-shaped amplitudes.
-
-    One batched matmul with the term axis first: the (n, d, d) gate stack
-    times the amplitudes transposed to (n, d, control), transposed back.
-    """
-    return (spec.gate_stack @ amps.transpose(1, 2, 0)).transpose(2, 0, 1)
-
-
-def _swap(amps: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Controlled subspace swaps sum_c |c><c|_C (x) X^(0,c), as one gather:
-    amplitude (c, s) takes the one at (c, sigma_c(s))."""
-    return np.take(amps.reshape(n * n, d), _swap_index(n), axis=0)
 
 
 def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
@@ -242,16 +224,19 @@ def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunRes
     combination sum_j alpha_j V_j |psi>.  With a unitary combination the
     success probability is exactly 1/n.  A vanishing combination is
     reported as a degenerate never-succeeding postselection.
+
+    The simulation is exact yet touches only n of the n^2 (control c,
+    subspace s) blocks of the (n*d)-dim target.  The input starts in
+    subspace 0, so the first controlled swap moves control c's branch
+    alpha_c psi to block (c, c); the block-diagonal sum applies V_c
+    there; the second swap (swaps are involutory) brings alpha_c V_c psi
+    back to (c, 0).  Every other amplitude is exactly 0 at every step,
+    and the Hadamards mix control rows, not subspaces, so the result is
+    the controlled form's rows in subspace 0 and zeros elsewhere.  The
+    postselected branch thus lies entirely in subspace 0: sqrt(p) is its
+    norm, and the output is the branch over sqrt(p).
     """
-    _check_input(spec, input_state)
-    n, d = spec.n, spec.d
-    # alpha (x) (psi embedded in subspace 0 of the (n*d)-dim target)
-    amps = np.zeros((n, n, d), dtype=complex)
-    amps[:, 0] = np.multiply.outer(spec.coefficients, input_state.data)
-    amps = _apply_blocks(spec, _swap(amps, n, d).reshape(n, n, d))
-    # second pass of the controlled swaps brings every branch back to
-    # subspace 0 before the Hadamards (swaps are involutory)
-    return _finish(_swap(amps, n, d), spec, (n * d,))
+    return _run(spec, input_state, extended=True)
 
 
 def run_lcc_controlled_form(spec: LinearCombinationSpec,
@@ -260,10 +245,7 @@ def run_lcc_controlled_form(spec: LinearCombinationSpec,
 
     Agrees with run_lcc on output state and success probability.
     """
-    _check_input(spec, input_state)
-    # alpha (x) psi, row j holding alpha_j psi, as a single control row
-    amps = np.multiply.outer(spec.coefficients, input_state.data)
-    return _finish(_apply_blocks(spec, amps[None])[0], spec, input_state.dims)
+    return _run(spec, input_state, extended=False)
 
 
 def lcc_success_probability(spec: LinearCombinationSpec,

@@ -48,7 +48,9 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol)
+    # entries too large to square overflow: not unitary, and no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol)
 
 
 def pauli_coefficients(op) -> np.ndarray:

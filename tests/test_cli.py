@@ -81,6 +81,32 @@ class TestLccCommand:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "never succeeds" in err
 
+    def test_huge_gate_with_finite_probability_runs_quietly(self, tmp_path):
+        # squaring the 1e160 entry overflows in the unitarity check only
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"coefficients": [[0.7071067811865476, 0], [0.7071067811865476, 0]],'
+            ' "gates": [[[[1e160, 0], [0, 0]], [[0, 0], [1, 0]]], "I"],'
+            ' "input_state": [[0, 0], [1, 0]]}')
+        code, err = run_process(["lcc", str(path)])
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("coefficient, entry, message", [
+        ("NaN", "1", "must be finite"),
+        ("0.7071067811865476", "Infinity", "must be finite"),
+        ("0.7071067811865476", "1e308", "overflows")])
+    def test_non_finite_spec_exit_3(self, tmp_path, coefficient, entry,
+                                    message):
+        # json reads NaN and Infinity as floats
+        path = tmp_path / "spec.json"
+        path.write_text(
+            f'{{"coefficients": [[{coefficient}, 0], [0.7071067811865476, 0]],'
+            f' "gates": [[[[{entry}, 0], [0, 0]], [[0, 0], [{entry}, 0]]], "I"]}}')
+        code, err = run_process(["lcc", str(path)])
+        assert code == 3
+        assert "Traceback" not in err and "Warning" not in err
+        assert err.count("\n") == 1 and message in err
+
 
 class TestKakCommand:
     def test_cnot(self, tmp_path, capsys):
@@ -106,6 +132,13 @@ class TestKakCommand:
         path = tmp_path / "bad.txt"
         path.write_text(qcore.format_matrix(np.ones((4, 4), dtype=complex)))
         assert run(["kak", str(path)]) == 3
+
+    def test_overflowing_matrix_exit_3_without_warnings(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(qcore.format_matrix(np.diag([1e200, 1, 1, 1])))
+        code, err = run_process(["kak", str(path)])
+        assert code == 3
+        assert err == "error: matrix is not unitary\n"
 
     def test_wrong_shape_exit_4(self, tmp_path):
         path = tmp_path / "small.txt"
@@ -442,7 +475,49 @@ PROTOCOL_DIGESTS = {
 }
 
 
+# sha256 of `lccsim lcc` stdout, keyed by term count, dimension and
+# whether the terms are unitary, for the spec and input that
+# `_random_spec_text` draws from the seed n * 100 + d.
+# A change that moves these bytes must say so and update the digest.
+LCC_DIGESTS = {
+    (1, 2, True):
+        "2eb9d3ef943d0610a619f56a2a572df342b34246377b2f4d1f84db51b94d379f",
+    (2, 2, True):
+        "9b667ba7f300b0be17d3c6984ed60e2baaaa6fb5ec923f68a2bc30f041d1aaa8",
+    (4, 4, True):
+        "50be43c5030f07ab60c45f5be863dab54156926083c7bee8fd6ce4819b7ccd9a",
+    (16, 2, True):
+        "627cff4122479b0ef58720afebbd1bd37b09732f18d21084ad25cb514b639005",
+    (16, 4, True):
+        "2c6487cab7fa68d8d805fe71a95b3b25b67f3706c92a833f9f69f8f41be70cfb",
+    (4, 2, False):
+        "cd3b25755a9f9a53bd13d13aed136ac30d9a1e7ba7f4ac81e141f132da7583e3",
+}
+
+
+def _random_spec_text(n, d, unitary):
+    rng = np.random.default_rng(n * 100 + d)
+    alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+    terms = tuple(qcore.haar_random_unitary(d, rng) if unitary
+                  else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                  for _ in range(n))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return lcc.spec_to_json(
+        lcc.LinearCombinationSpec(alpha / np.linalg.norm(alpha), terms),
+        qcore.statevector(psi / np.linalg.norm(psi)))
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("n, d, unitary", list(LCC_DIGESTS))
+    def test_lcc_bytes_pinned(self, tmp_path, capsys, n, d, unitary):
+        path = tmp_path / "spec.json"
+        path.write_text(_random_spec_text(n, d, unitary))
+        assert run(["lcc", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == LCC_DIGESTS[n, d, unitary]
+
     # the epsilon = 0.5 scenarios leave epsilon out of their ids
     @pytest.mark.parametrize("operation, behavior, basis, epsilon", [
         pytest.param(*key, id="-".join(map(str, key if key[3] != 0.5
