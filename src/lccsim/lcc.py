@@ -15,8 +15,10 @@ H^(x)k on the control register is one real matmul of the cached (n, n)
 Sylvester matrix, entries +-1/sqrt(n), with their float64 view.  The
 postselected all-zero branch is row 0.  The extended circuit's state is
 these rows in subspace 0 and exact zeros elsewhere (see ``run_lcc``), so
-it costs O(n d^2) work and one O(n^2 d) state.  The dense builders
-``subspace_swap`` and ``sum_operation`` remain for inspection and tests.
+a run costs O(n d^2) work and holds the O(n d) rows; the O(n^2 d)
+register is built only on the first read of ``pre_measurement_state``.
+The dense builders ``subspace_swap`` and ``sum_operation`` remain for
+inspection and tests.
 """
 
 from __future__ import annotations
@@ -103,21 +105,46 @@ class LinearCombinationSpec:
         return out
 
 
-@dataclass(frozen=True)
+def _control_dims(n: int) -> tuple[int, ...]:
+    k = n.bit_length() - 1
+    return (2,) * k if k else (1,)
+
+
+@dataclass(frozen=True, eq=False)
 class LccRunResult:
+    """One run of either circuit form, postselected on the all-zero control.
+
+    A run holds the read-only (n, d) rows H^(x)k (alpha_c V_c psi), O(n d),
+    with the input's dims and which form ran.  The joint state before the
+    control measurement is built from them on the first read of
+    ``pre_measurement_state`` and cached: the rows themselves (controlled
+    form), or the rows in column block 0 of a zeroed (n, n*d) register
+    (extended form), O(n^2 d).
+    """
+
     success: bool
     success_probability: float
     output_state: QuantumState | None
-    pre_measurement_state: QuantumState
+    rows: np.ndarray = field(repr=False)
+    input_dims: tuple[int, ...]
+    extended: bool
 
-
-def _control_dims(spec: LinearCombinationSpec) -> tuple[int, ...]:
-    return (2,) * spec.k if spec.k else (1,)
+    @functools.cached_property
+    def pre_measurement_state(self) -> QuantumState:
+        n, d = self.rows.shape
+        if self.extended:
+            amps = np.zeros((n, n * d), dtype=complex)
+            amps[:, :d] = self.rows
+            target_dims = (n * d,)
+        else:
+            amps, target_dims = self.rows, self.input_dims
+        return QuantumState("statevector", _control_dims(n) + target_dims,
+                            amps.reshape(-1))
 
 
 def build_control_state(spec: LinearCombinationSpec) -> QuantumState:
     """k-qubit control state with amplitude alpha_j on basis |j>."""
-    return statevector(spec.coefficients, dims=_control_dims(spec))
+    return statevector(spec.coefficients, dims=_control_dims(spec.n))
 
 
 @functools.cache
@@ -185,11 +212,10 @@ def _run(spec: LinearCombinationSpec, input_state: QuantumState,
     """Both circuit forms: the rows H^(x)k (alpha_c V_c psi), postselected.
 
     H^(x)k multiplies the float64 view of the (n, d) rows, which applies
-    it to their real and imaginary parts at once.  The controlled form's
-    joint state is the rows; the extended form's is the rows in column
-    block 0 (subspace 0) of a zeroed (n, n*d) register.  A success
-    probability that overflows is an error, and numpy's floating-point
-    warnings stay off stderr.
+    it to their real and imaginary parts at once.  Both forms return the
+    rows; no zeroed (n, n*d) register is built here (see
+    ``LccRunResult``).  A success probability that overflows is an error,
+    and numpy's floating-point warnings stay off stderr.
     """
     _check_input(spec, input_state)
     n, d = spec.n, spec.d
@@ -202,19 +228,12 @@ def _run(spec: LinearCombinationSpec, input_state: QuantumState,
     if not math.isfinite(p):
         raise InvalidInputError(
             "the success probability overflows: the gates are too large")
-    if extended:
-        amps = np.zeros((n, n * d), dtype=complex)
-        amps[:, :d] = rows
-        target_dims = (n * d,)
-    else:
-        amps, target_dims = rows, input_state.dims
-    joint = QuantumState("statevector", _control_dims(spec) + target_dims,
-                         amps.reshape(-1))
+    rows.flags.writeable = False
     # probabilities at rounding-noise scale are a vanishing combination
     if p < ATOL_STRUCT ** 2:
-        return LccRunResult(False, 0.0, None, joint)
+        return LccRunResult(False, 0.0, None, rows, input_state.dims, extended)
     out = statevector(rows[0] / math.sqrt(p), dims=(d,))
-    return LccRunResult(True, p, out, joint)
+    return LccRunResult(True, p, out, rows, input_state.dims, extended)
 
 
 def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
@@ -234,7 +253,9 @@ def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunRes
     and the Hadamards mix control rows, not subspaces, so the result is
     the controlled form's rows in subspace 0 and zeros elsewhere.  The
     postselected branch thus lies entirely in subspace 0: sqrt(p) is its
-    norm, and the output is the branch over sqrt(p).
+    norm, and the output is the branch over sqrt(p).  The run holds only
+    the rows; the zeroed (n, n*d) register is built on the first read of
+    ``pre_measurement_state``.
     """
     return _run(spec, input_state, extended=True)
 

@@ -65,9 +65,9 @@ def pauli_coefficients(op) -> np.ndarray:
 class QuantumState:
     """A statevector or density matrix over a tensor-product register.
 
-    ``dims`` lists the subsystem dimensions left to right;  ``data`` is a
-    vector of length prod(dims) for kind ``statevector`` or a square
-    matrix of that dimension for kind ``density``.
+    ``dims`` lists the subsystem dimensions left to right, none negative;
+    ``data`` is a vector of length prod(dims) for kind ``statevector`` or
+    a square matrix of that dimension for kind ``density``.
     """
 
     kind: str
@@ -75,7 +75,9 @@ class QuantumState:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
+        if min(dims, default=0) < 0:
+            raise DimensionMismatchError(f"negative dimension in dims {dims}")
         total = math.prod(dims)
         data = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "dims", dims)

@@ -71,6 +71,13 @@ class TestLccCommand:
     def test_missing_file(self):
         assert run(["lcc", "/nonexistent/spec.json"]) == 2
 
+    def test_empty_input_state_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"coefficients": [[1.0, 0.0], [0.0, 0.0]],
+                                    "gates": ["I", "I"], "input_state": []}))
+        assert run(["lcc", str(path)]) == 4
+        assert "input dimension 0 != gate dimension 2" in capsys.readouterr().err
+
     def test_vanishing_combination_exit_3(self, tmp_path):
         path = tmp_path / "vanish.json"
         r2 = 1 / math.sqrt(2)

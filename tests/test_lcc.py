@@ -373,6 +373,25 @@ class TestRunLccAtScale:
         assert vector_phase_distance(res.output_state.data,
                                      direct / np.linalg.norm(direct)) < 1e-10
 
+    def test_n128_d8_allocates_rows_not_register(self):
+        rng = np.random.default_rng(16)
+        n, d = 128, 8
+        spec = random_unitary_combination_spec(n, d, rng)
+        psi = random_statevector(d, rng)
+        run_lcc(spec, statevector(psi))  # fills the Sylvester-matrix cache
+        tracemalloc.start()
+        try:
+            res = run_lcc(spec, statevector(psi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, n*d) register alone is n^2 d * 16 bytes = 2 MiB
+        assert peak < 8 * n * d * 16
+        state = res.pre_measurement_state
+        assert res.pre_measurement_state is state
+        pre, _, _ = blockwise_reference(spec, psi, extended=True)
+        assert np.abs(state.data - pre).max() < 1e-12
+
 
 def blockwise_reference(spec, psi, extended):
     """Both circuit forms from the dense ``subspace_swap`` and
@@ -384,8 +403,10 @@ def blockwise_reference(spec, psi, extended):
     if extended:
         ext = embed_input(spec, statevector(psi)).data
         blocks = sum_operation(spec)
-        swaps = [np.eye(n * d)] + [subspace_swap(c, d, n) for c in range(1, n)]
-        rows = [a * (x @ blocks @ x @ ext)
+        # one dense swap at a time, applied to vectors, so n*d = 1024 fits
+        swaps = (subspace_swap(c, d, n) if c else np.eye(n * d)
+                 for c in range(n))
+        rows = [a * (x @ (blocks @ (x @ ext)))
                 for a, x in zip(spec.coefficients, swaps)]
     else:
         rows = [a * (g @ psi) for a, g in zip(spec.coefficients, spec.gates)]

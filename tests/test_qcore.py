@@ -295,6 +295,17 @@ class TestStateValidation:
         with pytest.raises(InvalidInputError):
             statevector(np.array([np.nan, 0.0]))
 
+    def test_negative_dims_rejected(self):
+        # prod(-2, -1) = 2 would otherwise match the data's length
+        with pytest.raises(DimensionMismatchError):
+            QuantumState("statevector", (-2, -1), np.zeros(2))
+        with pytest.raises(DimensionMismatchError):
+            QuantumState("statevector", (2, -1, 0), np.zeros(0))
+
+    def test_zero_length_state_allowed(self):
+        st = statevector([])
+        assert (st.dims, st.total_dim, st.data.shape) == ((0,), 0, (0,))
+
 
 class TestFileFormat:
     def test_matrix_roundtrip(self):

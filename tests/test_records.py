@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lccsim import kak, protocol, qcore
-from lccsim.lcc import LinearCombinationSpec
+from lccsim.lcc import LinearCombinationSpec, run_lcc
 from lccsim.tomography import ChiMatrix
 
 R = 1 / math.sqrt(2)
@@ -22,6 +22,13 @@ BUILDERS = {
     "ChiMatrix": lambda: ChiMatrix(np.diag([1.0, 0.0, 0.0, 0.0])),
     "SendPolicy": lambda: protocol.SendPolicy(
         epsilon=1.0, tau=0.5, control_rho=np.diag([1.0, 0.0])),
+    "LccRunResult-succeeded": lambda: run_lcc(
+        LinearCombinationSpec((R, R), (qcore.ID2, qcore.SX)),
+        qcore.statevector([1.0, 0.0])),
+    # (I - I)/sqrt(2): the postselection never succeeds
+    "LccRunResult-vanishing": lambda: run_lcc(
+        LinearCombinationSpec((R, -R), (qcore.ID2, qcore.ID2)),
+        qcore.statevector([1.0, 0.0])),
 }
 
 
