@@ -1,4 +1,4 @@
-"""Linear decompositions of single- and two-qubit unitaries.
+"""Linear decomposition of two-qubit unitaries.
 
 A two-qubit unitary factors as (U1 x V1) UD (U2 x V2) with the nonlocal
 core UD = exp(-i(k1 XX + k2 YY + k3 ZZ)).  In the magic basis the local
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qcore
 from .lcc import LinearCombinationSpec
-from .qcore import ID2, SX, SY, SZ, InvalidInputError, is_unitary
+from .qcore import SX, SY, SZ, InvalidInputError, is_unitary
 
 # Fixed magic-basis matrix: maps the Bell-like basis so that SU(2)xSU(2)
 # conjugates into SO(4).
@@ -54,27 +54,6 @@ _EIGH_DIRECTIONS = tuple((math.cos(t), math.sin(t))
 
 class DecompositionError(RuntimeError):
     """A factorization did not diagonalize or did not recombine to its input."""
-
-
-@dataclass(frozen=True, eq=False)
-class PauliDecomposition:
-    """Single-qubit gate as alpha0 I + alpha1 X + alpha2 Y + alpha3 Z.
-
-    For SU(2) inputs alpha0 is real, alpha1..3 purely imaginary, and
-    sum |alpha_i|^2 = 1.  d1, d2, d3 are the rotation half-angles of the
-    ordered product exp(-i d1 X) exp(-i d2 Y) exp(-i d3 Z).
-    """
-
-    alphas: np.ndarray
-    d_angles: tuple[float, float, float]
-    global_phase: float = 0.0
-
-    def combination(self) -> np.ndarray:
-        a = self.alphas
-        return a[0] * ID2 + a[1] * SX + a[2] * SY + a[3] * SZ
-
-    def reconstruct(self) -> np.ndarray:
-        return cmath.exp(1j * self.global_phase) * self.combination()
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,44 +97,6 @@ class MagicBasisWork:
     right: np.ndarray
     d_real: np.ndarray
     d_imag: np.ndarray
-
-
-def _su2_euler_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Half-angles (d1,d2,d3) of u = exp(-i d1 X) exp(-i d2 Y) exp(-i d3 Z)."""
-    # Map to the Bloch rotation and read off intrinsic x-y-z Tait-Bryan angles.
-    paulis = (SX, SY, SZ)
-    rot = np.array([[np.real(np.trace(si @ u @ sj @ u.conj().T)) / 2.0
-                     for sj in paulis] for si in paulis])
-    # Branch-free, also at gimbal lock: undo the x rotation that zeroes
-    # rot[1, 2], then read the y and z angles off what remains.
-    t1 = math.atan2(-rot[1, 2], rot[2, 2])
-    c, s = math.cos(t1), math.sin(t1)
-    rest = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]) @ rot
-    t2 = math.atan2(rest[0, 2], rest[2, 2])
-    t3 = math.atan2(rest[1, 0], rest[1, 1])
-    return (t1 / 2.0, t2 / 2.0, t3 / 2.0)
-
-
-def pauli_decompose(u: np.ndarray) -> PauliDecomposition:
-    """Decompose a single-qubit unitary over {I, X, Y, Z}.
-
-    A non-special determinant is factored out as a recorded global phase;
-    the coefficients then come directly from alpha_i = tr(sigma_i U')/2.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u, atol=1e-10):
-        raise InvalidInputError("pauli_decompose requires a 2x2 unitary")
-    det = np.linalg.det(u)
-    phase = cmath.sqrt(det)  # principal branch
-    us = u / phase
-    alphas = qcore.pauli_coefficients(us)
-    d = _su2_euler_angles(us)
-    dec = PauliDecomposition(alphas, d, cmath.phase(phase))
-    # the trace projection must recombine to u; a mismatch is reported,
-    # never repaired
-    if qcore.phase_aligned_distance(dec.reconstruct(), u) > 1e-9:
-        raise DecompositionError("single-qubit decomposition failed to close")
-    return dec
 
 
 def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
@@ -287,28 +228,3 @@ def lcu_spec_from_kak(dec: KakDecomposition) -> LinearCombinationSpec:
         np.kron(dec.u1 @ s @ dec.u2, dec.v1 @ s @ dec.v2) * phase
         for s in qcore.PAULIS)
     return LinearCombinationSpec(dec.alphas, gates)
-
-
-def su8_two_term_combine(a_gates, b_gates, beta0: float
-                         ) -> tuple[np.ndarray, LinearCombinationSpec]:
-    """Three-qubit product with a single X^(x3) exponential, and its
-    two-term linear-combination form.
-
-    a_gates are four 4x4 unitaries (two-qubit side), b_gates four 2x2
-    unitaries.  Returns the 8x8 product
-    (A4 A3 x B4 B3) exp(i beta0 X x X x X) (A2 A1 x B2 B1) alongside the
-    spec cos(beta0) * product + i sin(beta0) * X-dressed product.
-    """
-    a1, a2, a3, a4 = (np.asarray(g, dtype=complex) for g in a_gates)
-    b1, b2, b3, b4 = (np.asarray(g, dtype=complex) for g in b_gates)
-    for g in (a1, a2, a3, a4, b1, b2, b3, b4):
-        if not is_unitary(g, atol=1e-10):
-            raise InvalidInputError("all SU(8) factors must be unitary")
-    xxx = np.kron(_XX, SX)
-    core = math.cos(beta0) * np.eye(8) + 1j * math.sin(beta0) * xxx
-    u = np.kron(a4 @ a3, b4 @ b3) @ core @ np.kron(a2 @ a1, b2 @ b1)
-    term0 = np.kron(a4 @ a3 @ a2 @ a1, b4 @ b3 @ b2 @ b1)
-    term1 = np.kron(a4 @ a3 @ _XX @ a2 @ a1, b4 @ b3 @ SX @ b2 @ b1)
-    spec = LinearCombinationSpec(
-        np.array([math.cos(beta0), 1j * math.sin(beta0)]), (term0, term1))
-    return u, spec

@@ -17,8 +17,6 @@ postselected all-zero branch is row 0.  The extended circuit's state is
 these rows in subspace 0 and exact zeros elsewhere (see ``run_lcc``), so
 a run costs O(n d^2) work and holds the O(n d) rows; the O(n^2 d)
 register is built only on the first read of ``pre_measurement_state``.
-The dense builders ``subspace_swap`` and ``sum_operation`` remain for
-inspection and tests.
 """
 
 from __future__ import annotations
@@ -138,26 +136,7 @@ class LccRunResult:
             target_dims = (n * d,)
         else:
             amps, target_dims = self.rows, self.input_dims
-        return QuantumState("statevector", _control_dims(n) + target_dims,
-                            amps.reshape(-1))
-
-
-def build_control_state(spec: LinearCombinationSpec) -> QuantumState:
-    """k-qubit control state with amplitude alpha_j on basis |j>."""
-    return statevector(spec.coefficients, dims=_control_dims(spec.n))
-
-
-@functools.cache
-def _swap_table(n: int) -> np.ndarray:
-    """(n, n) table whose row c is sigma_c, the swap of subspace labels 0 and c.
-
-    Cached per n, hence read-only.
-    """
-    table = np.tile(np.arange(n), (n, 1))
-    table[:, 0] = np.arange(n)
-    np.fill_diagonal(table, 0)
-    table.flags.writeable = False
-    return table
+        return QuantumState(_control_dims(n) + target_dims, amps.reshape(-1))
 
 
 @functools.cache
@@ -174,32 +153,8 @@ def _hadamard_matrix(n: int) -> np.ndarray:
     return matrix
 
 
-def subspace_swap(j: int, d: int, n: int) -> np.ndarray:
-    """Permutation X^(0,j) exchanging subspaces 0 and j of an (n*d)-dim target."""
-    if not 1 <= j <= n - 1:
-        raise InvalidInputError(f"subspace index {j} out of range 1..{n - 1}")
-    perm = (_swap_table(n)[j][:, None] * d + np.arange(d)).reshape(-1)
-    return np.eye(n * d, dtype=complex)[perm]
-
-
-def sum_operation(spec: LinearCombinationSpec) -> np.ndarray:
-    """Block-diagonal operator with V_j acting on subspace j."""
-    n, d = spec.n, spec.d
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for j, g in enumerate(spec.gates):
-        out[j * d:(j + 1) * d, j * d:(j + 1) * d] = g
-    return out
-
-
-def embed_input(spec: LinearCombinationSpec, input_state: QuantumState) -> QuantumState:
-    """Extended target state: input amplitudes on subspace 0, zeros elsewhere."""
-    ext = np.zeros(spec.n * spec.d, dtype=complex)
-    ext[: spec.d] = input_state.data
-    return statevector(ext, dims=(spec.n * spec.d,))
-
-
 def _check_input(spec: LinearCombinationSpec, input_state: QuantumState):
-    if input_state.kind != "statevector" or input_state.total_dim != spec.d:
+    if input_state.total_dim != spec.d:
         raise qcore.DimensionMismatchError(
             f"input must be a {spec.d}-dim statevector")
     psi = input_state.data
@@ -271,27 +226,14 @@ def run_lcc_controlled_form(spec: LinearCombinationSpec,
 
 def lcc_success_probability(spec: LinearCombinationSpec,
                             input_state: QuantumState) -> float:
-    """Closed-form branch probability ||sum alpha_j V_j psi||^2 / n."""
+    """Closed-form branch probability ||sum alpha_j V_j psi||^2 / n.
+
+    The input must be a normalized ``spec.d``-dim statevector (within
+    1e-9), as for the circuits.
+    """
+    _check_input(spec, input_state)
     w = spec.combination() @ input_state.data
     return float(np.vdot(w, w).real) / spec.n
-
-
-def cu_linear_spec(u: np.ndarray) -> LinearCombinationSpec:
-    """Two-term spec implementing controlled-U on (qubit (x) target).
-
-    CU = (I+Z)/2 (x) I + (I-Z)/2 (x) U; each operator term is rescaled by
-    sqrt(2) and paired with coefficient 1/sqrt(2) so the coefficient
-    normalization holds.  The terms are not unitary (projector-valued).
-    """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, atol=1e-10):
-        raise InvalidInputError("controlled-U decomposition requires unitary U")
-    p0 = (qcore.ID2 + qcore.SZ) / math.sqrt(2)
-    p1 = (qcore.ID2 - qcore.SZ) / math.sqrt(2)
-    v0 = np.kron(p0, np.eye(u.shape[0], dtype=complex))
-    v1 = np.kron(p1, u)
-    inv_sqrt2 = 1.0 / math.sqrt(2)
-    return LinearCombinationSpec(np.array([inv_sqrt2, inv_sqrt2]), (v0, v1))
 
 
 # -- spec file format (JSON) --------------------------------------------------

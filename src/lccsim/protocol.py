@@ -81,6 +81,13 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     return rho_m
 
 
+def _noise_floored(evals: np.ndarray) -> np.ndarray:
+    """PSD eigenvalues with those at rounding-noise scale set to zero, so
+    that a zero weight computed as 1e-17 does not send its state."""
+    cut = len(evals) * np.finfo(float).eps * np.abs(evals).max()
+    return np.where(evals > cut, evals, 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class SendPolicy:
     """Per-round sending distribution over control, decoy, and verify states.
@@ -139,7 +146,7 @@ class SendPolicy:
         for kind, p_kind, weights, states in (
                 ("compute", self.p_control, lam, vecs.T),
                 ("decoy", self.p_decoy, decoy, vecs.T[::-1])):
-            weights = qcore._noise_floored(weights)
+            weights = _noise_floored(weights)
             for w, vec in zip(weights / weights.sum(), states):
                 if w > 0:
                     entries.append((kind, vec))
@@ -153,7 +160,10 @@ class SendPolicy:
 
 def empirical_server_average(policy: SendPolicy, samples: int,
                              rng: np.random.Generator) -> np.ndarray:
-    """Average density matrix the server sees over many sampled rounds."""
+    """Average density matrix the server sees over ``samples`` (at least 1)
+    sampled rounds."""
+    if samples < 1:
+        raise InvalidInputError("samples must be at least 1")
     entries, probs = policy.outcome_table()
     counts = rng.multinomial(samples, probs)
     avg = np.zeros((policy.n, policy.n), dtype=complex)
@@ -557,8 +567,11 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
     teleport (one generalized Bell outcome of d^2), one LCC attempt, and
     the control-qubit teleports.  The LCC and control stages come from
     the exact simulation, not from the analytic account being tested.
-    The input must be a normalized statevector (within 1e-9).
+    The input must be a normalized statevector (within 1e-9), and
+    ``trials`` at least 1.
     """
+    if trials < 1:
+        raise InvalidInputError("trials must be at least 1")
     _check_input(spec, input_state)
     p_lcc, _, _, (p_complete,) = _teleport_stage(spec, input_state,
                                                   spec.coefficients[None])

@@ -63,14 +63,14 @@ def pauli_coefficients(op) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """A statevector or density matrix over a tensor-product register.
+    """A statevector over a tensor-product register.
 
     ``dims`` lists the subsystem dimensions left to right, none negative;
-    ``data`` is a vector of length prod(dims) for kind ``statevector`` or
-    a square matrix of that dimension for kind ``density``.
+    ``data`` is a finite complex vector of length prod(dims).
     """
 
-    kind: str
+    # the only kind; kept because perfbench/tracing.py reads ``state.kind``
+    kind = "statevector"
     dims: tuple[int, ...]
     data: np.ndarray = field(repr=False)
 
@@ -84,54 +84,20 @@ class QuantumState:
         object.__setattr__(self, "data", data)
         if not np.isfinite(data).all():
             raise InvalidInputError("state has non-finite amplitudes")
-        if self.kind == "statevector":
-            if data.shape != (total,):
-                raise DimensionMismatchError(
-                    f"statevector length {data.shape} != prod(dims)={total}")
-        elif self.kind == "density":
-            if data.shape != (total, total):
-                raise DimensionMismatchError(
-                    f"density shape {data.shape} != ({total},{total})")
-            if not np.allclose(data, data.conj().T, atol=ATOL_STRUCT):
-                raise InvalidInputError("density matrix is not Hermitian")
-            evals = np.linalg.eigvalsh(data)
-            if evals.min() < -ATOL_STRUCT:
-                raise InvalidInputError(
-                    f"density matrix has negative eigenvalue {evals.min()}")
-        else:
-            raise InvalidInputError(f"unknown state kind {self.kind!r}")
+        if data.shape != (total,):
+            raise DimensionMismatchError(
+                f"statevector length {data.shape} != prod(dims)={total}")
 
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def norm(self) -> float:
-        if self.kind == "statevector":
-            return float(np.linalg.norm(self.data))
-        return float(np.real(np.trace(self.data)))
-
-    def is_normalized(self, atol: float = ATOL_STRUCT) -> bool:
-        return abs(self.norm - 1.0) <= atol
-
-    def normalized(self) -> "QuantumState":
-        n = self.norm
-        if n == 0.0:
-            raise InvalidInputError("cannot normalize the zero state")
-        return QuantumState(self.kind, self.dims, self.data / n)
-
-    def to_density(self) -> "QuantumState":
-        if self.kind == "density":
-            return self
-        v = self.data
-        return QuantumState("density", self.dims, np.outer(v, v.conj()))
 
 
 def statevector(amplitudes, dims=None) -> QuantumState:
     v = np.asarray(amplitudes, dtype=complex)
     if dims is None:
         dims = (len(v),)
-    return QuantumState("statevector", tuple(dims), v)
+    return QuantumState(tuple(dims), v)
 
 
 def basis_state(dims, labels) -> QuantumState:
@@ -147,22 +113,15 @@ def basis_state(dims, labels) -> QuantumState:
         idx = idx * d + x
     v = np.zeros(int(np.prod(dims)), dtype=complex)
     v[idx] = 1.0
-    return QuantumState("statevector", dims, v)
+    return QuantumState(dims, v)
 
 
 def tensor(*states: QuantumState) -> QuantumState:
-    """Tensor product of states; mixes kinds by promoting to density."""
-    if any(s.kind == "density" for s in states):
-        parts = [s.to_density().data for s in states]
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.kron(out, p)
-        return QuantumState("density",
-                            sum((s.dims for s in states), ()), out)
+    """Tensor product of states."""
     out = states[0].data
     for s in states[1:]:
         out = np.kron(out, s.data)
-    return QuantumState("statevector", sum((s.dims for s in states), ()), out)
+    return QuantumState(sum((s.dims for s in states), ()), out)
 
 
 @dataclass(frozen=True)
@@ -213,15 +172,8 @@ def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
     if op.shape != (dt, dt):
         raise DimensionMismatchError(
             f"operator shape {op.shape} != target dimension {dt}")
-    op = op.reshape(tdims + tdims)
-    if state.kind == "statevector":
-        out = _contract(op, state.data.reshape(dims), targets)
-        return QuantumState("statevector", dims, out.reshape(-1))
-    # rho -> op rho op^dagger: op on the row legs, conj(op) on the column legs
-    rho = _contract(op, state.data.reshape(dims + dims), targets)
-    rho = _contract(op.conj(), rho, [n + t for t in targets])
-    total = state.total_dim
-    return QuantumState("density", dims, rho.reshape(total, total))
+    out = _contract(op.reshape(tdims + tdims), state.data.reshape(dims), targets)
+    return QuantumState(dims, out.reshape(-1))
 
 
 def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutcome:
@@ -241,55 +193,15 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
             raise InvalidInputError(f"label {x} invalid for subsystem {t} (dim {dims[t]})")
     rest = [i for i in range(len(dims)) if i not in targets]
     rest_dims = tuple(dims[r] for r in rest) or (1,)
-    if state.kind == "statevector":
-        tens = state.data.reshape(dims)
-        sel = [slice(None)] * len(dims)
-        for t, x in zip(targets, outcome):
-            sel[t] = x
-        branch = tens[tuple(sel)].reshape(-1)
-        p = float(np.vdot(branch, branch).real)
-        if p <= 0.0 or math.sqrt(p) < 1e-300:
-            return MeasurementOutcome(targets, outcome, max(p, 0.0), None)
-        rem = QuantumState("statevector", rest_dims, branch / math.sqrt(p))
-        return MeasurementOutcome(targets, outcome, p, rem)
-    tens = state.data.reshape(dims + dims)
-    sel = [slice(None)] * (2 * len(dims))
+    sel = [slice(None)] * len(dims)
     for t, x in zip(targets, outcome):
         sel[t] = x
-        sel[len(dims) + t] = x
-    nrest = int(np.prod(rest_dims))
-    block = tens[tuple(sel)].reshape(nrest, nrest)
-    p = float(np.real(np.trace(block)))
-    if p <= 0.0:
+    branch = state.data.reshape(dims)[tuple(sel)].reshape(-1)
+    p = float(np.vdot(branch, branch).real)
+    if p <= 0.0 or math.sqrt(p) < 1e-300:
         return MeasurementOutcome(targets, outcome, max(p, 0.0), None)
-    return MeasurementOutcome(targets, outcome, p,
-                              QuantumState("density", rest_dims, block / p))
-
-
-def state_fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Fidelity between two states; |<a|b>|^2 for pure-pure, <a|rho|a> for pure-mixed."""
-    if a.dims != b.dims:
-        raise DimensionMismatchError(f"dims differ: {a.dims} vs {b.dims}")
-    if a.kind == "statevector" and b.kind == "statevector":
-        return float(abs(np.vdot(a.data, b.data)) ** 2)
-    if a.kind == "statevector":
-        return float(np.real(np.vdot(a.data, b.data @ a.data)))
-    if b.kind == "statevector":
-        return state_fidelity(b, a)
-    # mixed-mixed: Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2, used
-    # only in diagnostics, from two Hermitian eigendecompositions
-    w, v = np.linalg.eigh(a.data)
-    sa = (v * np.sqrt(_noise_floored(w))) @ v.conj().T
-    inner = sa @ b.data @ sa
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(np.sum(np.sqrt(_noise_floored(lam))) ** 2)
-
-
-def _noise_floored(evals: np.ndarray) -> np.ndarray:
-    """PSD eigenvalues with those at rounding-noise scale set to zero:
-    sqrt of a zero eigenvalue computed as 1e-16 would add 1e-8."""
-    cut = len(evals) * np.finfo(float).eps * np.abs(evals).max()
-    return np.where(evals > cut, evals, 0.0)
+    rem = QuantumState(rest_dims, branch / math.sqrt(p))
+    return MeasurementOutcome(targets, outcome, p, rem)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -320,30 +232,6 @@ def vector_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Phase-aligned Euclidean distance between two vectors."""
     return phase_aligned_distance(np.asarray(a).reshape(-1, 1),
                                   np.asarray(b).reshape(-1, 1))
-
-
-def partial_trace(state: QuantumState, keep) -> QuantumState:
-    """Trace out everything except the ``keep`` subsystems (density result)."""
-    keep = tuple(int(k) for k in keep)
-    dims = state.dims
-    for k in keep:
-        if not 0 <= k < len(dims):
-            raise DimensionMismatchError(f"subsystem {k} out of range")
-    rho = state.to_density().data
-    n = len(dims)
-    tens = rho.reshape(dims + dims)
-    if set(keep) != set(range(n)):
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        row = list(letters[:n])
-        col = list(letters[n:2 * n])
-        for i in range(n):
-            if i not in keep:
-                col[i] = row[i]  # repeated index: traced out
-        out_idx = [row[i] for i in keep] + [col[i] for i in keep]
-        tens = np.einsum("".join(row + col) + "->" + "".join(out_idx), tens)
-    keep_dims = tuple(dims[k] for k in keep) or (1,)
-    total = int(np.prod(keep_dims))
-    return QuantumState("density", keep_dims, tens.reshape(total, total))
 
 
 # -- matrix literal file format ---------------------------------------------

@@ -75,15 +75,6 @@ _C_TABLE = np.einsum(
 _C_TABLE.flags.writeable = False
 
 
-def measurement_matrix(prep: str, basis: str, outcome: int) -> np.ndarray:
-    """Hermitian C with Tr(chi C) = P(outcome | prep, basis) (read-only)."""
-    try:
-        return _C_TABLE[_CELL_INDEX[(prep, basis, outcome)]]
-    except (KeyError, TypeError):
-        raise InvalidInputError(
-            f"unknown measurement cell {(prep, basis, outcome)!r}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class ChiMatrix:
     """Unit-trace positive process matrix in the Pauli basis."""
@@ -101,14 +92,6 @@ class ChiMatrix:
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise InvalidInputError("chi matrix must have unit trace")
         object.__setattr__(self, "data", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("mn,mab,bc,ncd->ad", self.data, _PAULI_STACK, rho,
-                         _PAULI_STACK)
-
-    def probability(self, prep: str, basis: str, outcome: int) -> float:
-        c = measurement_matrix(prep, basis, outcome)
-        return float(np.trace(self.data @ c).real)
 
 
 def ideal_chi(op: np.ndarray) -> ChiMatrix:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from lccsim.lcc import LinearCombinationSpec
-from lccsim.qcore import haar_random_unitary
+from lccsim.qcore import ID2, SZ, InvalidInputError, haar_random_unitary, is_unitary
 
 
 def random_unitary_combination_spec(n: int, d: int,
@@ -47,3 +47,21 @@ def random_unitary_combination_spec(n: int, d: int,
 def random_statevector(d: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+def cu_linear_spec(u: np.ndarray) -> LinearCombinationSpec:
+    """Two-term spec implementing controlled-U on (qubit (x) target).
+
+    CU = (I+Z)/2 (x) I + (I-Z)/2 (x) U; each operator term is rescaled by
+    sqrt(2) and paired with coefficient 1/sqrt(2) so the coefficient
+    normalization holds.  The terms are not unitary (projector-valued).
+    """
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(u, atol=1e-10):
+        raise InvalidInputError("controlled-U decomposition requires unitary U")
+    p0 = (ID2 + SZ) / math.sqrt(2)
+    p1 = (ID2 - SZ) / math.sqrt(2)
+    v0 = np.kron(p0, np.eye(u.shape[0], dtype=complex))
+    v1 = np.kron(p1, u)
+    inv_sqrt2 = 1.0 / math.sqrt(2)
+    return LinearCombinationSpec(np.array([inv_sqrt2, inv_sqrt2]), (v0, v1))

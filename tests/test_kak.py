@@ -6,10 +6,9 @@ import pytest
 from conftest import random_statevector
 from lccsim.kak import (DecompositionError, KakDecomposition, MAGIC,
                         MAGIC_DAG, _EIGH_DIRECTIONS, alphas_from_core, alphas_from_k, kak_decompose,
-                        lcu_spec_from_kak, pauli_decompose, simultaneous_svd,
-                        su8_two_term_combine)
+                        lcu_spec_from_kak, simultaneous_svd)
 from lccsim.lcc import run_lcc
-from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, SX, SY, SZ,
+from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, PAULIS, SX, SY, SZ,
                           haar_random_unitary, pauli_coefficients,
                           phase_aligned_distance,
                           statevector, vector_phase_distance)
@@ -48,59 +47,34 @@ def _round_trip_residual(u):
     return phase_aligned_distance(kak_decompose(u).reconstruct(), u)
 
 
+def su2_normalized(u):
+    """u over the principal square root of its determinant, in SU(2)."""
+    return u / np.sqrt(np.linalg.det(u))
+
+
 class TestPauliDecompose:
+    """Single-qubit gates expanded over {I, X, Y, Z} by ``pauli_coefficients``."""
+
     def test_identity(self):
-        dec = pauli_decompose(ID2)
-        assert np.abs(dec.alphas - np.array([1, 0, 0, 0])).max() < 1e-12
+        alphas = pauli_coefficients(ID2)
+        assert np.abs(alphas - np.array([1, 0, 0, 0])).max() < 1e-12
 
     def test_su2_hadamard(self):
-        dec = pauli_decompose(1j * HADAMARD)
+        alphas = pauli_coefficients(su2_normalized(1j * HADAMARD))
         want = np.array([0, 1j / math.sqrt(2), 0, 1j / math.sqrt(2)])
-        assert np.abs(dec.alphas - want).max() < 1e-10
+        assert np.abs(alphas - want).max() < 1e-10
 
     def test_structure_and_normalization(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             u = haar_random_unitary(2, rng)
-            dec = pauli_decompose(u)
-            assert abs(np.abs(dec.alphas ** 2).sum() - 1.0) < 1e-12
+            alphas = pauli_coefficients(su2_normalized(u))
+            assert abs(np.abs(alphas ** 2).sum() - 1.0) < 1e-12
             # SU(2) part: alpha_0 real, others purely imaginary
-            assert abs(dec.alphas[0].imag) < 1e-9
-            assert np.abs(dec.alphas[1:].real).max() < 1e-9
-            assert phase_aligned_distance(dec.reconstruct(), u) < 1e-10
-
-    @staticmethod
-    def _euler_product(angles):
-        prod = np.eye(2, dtype=complex)
-        for angle, pauli in zip(angles, (SX, 1j * SX @ SZ, SZ)):
-            prod = prod @ (math.cos(angle) * ID2 - 1j * math.sin(angle) * pauli)
-        return prod
-
-    # half-angles (d1, d2, d3); |d2| = pi/4 is gimbal lock
-    @pytest.mark.parametrize("angles", [
-        None,
-        (0.3, -math.pi / 4, 0.7),
-        (-0.3, -math.pi / 4, 0.7),
-        (0.3, math.pi / 4, 0.7),
-        (0.3, 3 * math.pi / 4, -0.7),
-        (0.3, -3 * math.pi / 4, -0.7),
-        (0.3, math.pi / 4 + 1e-9, 0.7),
-        (0.3, -math.pi / 4 - 1e-7, 0.7),
-        (-1.2, math.pi / 4 - 1e-6, 2.5),
-        (0.3, 0.0, 0.7),
-        (0.3, 1e-9, 0.7),
-    ], ids=["haar", "lock-found", "lock-negative", "lock-positive",
-            "lock-3pi-over-4", "lock-minus-3pi-over-4", "near-lock-1e-9",
-            "near-lock-1e-7", "near-lock-1e-6", "zero-middle",
-            "tiny-middle"])
-    def test_angle_product_form(self, angles):
-        if angles is None:
-            u = haar_random_unitary(2, np.random.default_rng(1))
-        else:
-            u = self._euler_product(angles)
-        dec = pauli_decompose(u)
-        prod = self._euler_product(dec.d_angles)
-        assert phase_aligned_distance(prod, u) < 1e-10
+            assert abs(alphas[0].imag) < 1e-9
+            assert np.abs(alphas[1:].real).max() < 1e-9
+            combination = np.einsum("m,mab->ab", alphas, np.array(PAULIS))
+            assert phase_aligned_distance(combination, u) < 1e-10
 
     def test_relaxed_expansion_of_non_unitary(self):
         target = (SX + 1j * SZ) / math.sqrt(2)
@@ -110,10 +84,6 @@ class TestPauliDecompose:
         assert abs(np.sum(np.abs(alphas) ** 2) - 1.0) < 1e-12
         with pytest.raises(InvalidInputError):
             pauli_coefficients(np.eye(4))
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(InvalidInputError):
-            pauli_decompose(np.diag([1.0, 0.0]))
 
 
 class TestKakDecompose:
@@ -309,37 +279,3 @@ class TestLcuSpecFromKak:
             assert vector_phase_distance(res.output_state.data,
                                          want / np.linalg.norm(want)) < 1e-9
             assert abs(res.success_probability - 0.25) < 1e-12
-
-
-class TestSu8TwoTerm:
-    def test_beta_zero(self):
-        rng = np.random.default_rng(10)
-        a = [haar_random_unitary(4, rng) for _ in range(4)]
-        b = [haar_random_unitary(2, rng) for _ in range(4)]
-        u, spec = su8_two_term_combine(a, b, 0.0)
-        assert abs(spec.coefficients[0] - 1.0) < 1e-12
-        assert np.abs(spec.combination() - u).max() < 1e-10
-
-    def test_beta_half_pi_identity_locals(self):
-        eye4 = [np.eye(4, dtype=complex)] * 4
-        eye2 = [ID2] * 4
-        u, _ = su8_two_term_combine(eye4, eye2, math.pi / 2)
-        xxx = np.kron(np.kron(SX, SX), SX)
-        assert np.abs(u - 1j * xxx).max() < 1e-12
-
-    def test_random_through_circuit(self):
-        rng = np.random.default_rng(11)
-        a = [haar_random_unitary(4, rng) for _ in range(4)]
-        b = [haar_random_unitary(2, rng) for _ in range(4)]
-        u, spec = su8_two_term_combine(a, b, 0.3)
-        assert np.abs(spec.combination() - u).max() < 1e-10
-        psi = random_statevector(8, rng)
-        res = run_lcc(spec, statevector(psi))
-        want = u @ psi
-        assert vector_phase_distance(res.output_state.data,
-                                     want / np.linalg.norm(want)) < 1e-9
-
-    def test_rejects_non_unitary(self):
-        bad = [np.ones((4, 4), dtype=complex)] * 4
-        with pytest.raises(InvalidInputError):
-            su8_two_term_combine(bad, [ID2] * 4, 0.1)

@@ -10,18 +10,51 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_unitary_combination_spec, random_statevector
+from conftest import (cu_linear_spec, random_unitary_combination_spec,
+                      random_statevector)
 from lccsim import gates, lcc, qcore
-from lccsim.lcc import (LinearCombinationSpec, build_control_state,
-                        cu_linear_spec, embed_input, lcc_success_probability,
+from lccsim.lcc import (LinearCombinationSpec, lcc_success_probability,
                         run_lcc, run_lcc_controlled_form, spec_from_json,
-                        spec_to_json, subspace_swap, sum_operation)
-from lccsim.qcore import (HADAMARD, ID2, InvalidInputError, SX, SZ,
-                          basis_state, haar_random_unitary, statevector,
+                        spec_to_json)
+from lccsim.qcore import (DimensionMismatchError, HADAMARD, ID2,
+                          InvalidInputError, SX, SZ, basis_state,
+                          haar_random_unitary, pauli_coefficients, statevector,
                           vector_phase_distance)
-from lccsim.kak import pauli_decompose
 
 R2 = 1.0 / math.sqrt(2)
+
+
+# -- dense references for the extended circuit ---------------------------------
+
+def build_control_state(spec):
+    """k-qubit control state with amplitude alpha_j on basis |j>."""
+    return statevector(spec.coefficients, dims=(2,) * spec.k or (1,))
+
+
+def subspace_swap(j, d, n):
+    """Permutation X^(0,j) exchanging subspaces 0 and j of an (n*d)-dim target."""
+    if not 1 <= j <= n - 1:
+        raise InvalidInputError(f"subspace index {j} out of range 1..{n - 1}")
+    labels = np.arange(n)
+    labels[[0, j]] = j, 0
+    perm = (labels[:, None] * d + np.arange(d)).reshape(-1)
+    return np.eye(n * d, dtype=complex)[perm]
+
+
+def sum_operation(spec):
+    """Block-diagonal operator with V_j acting on subspace j."""
+    n, d = spec.n, spec.d
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for j, g in enumerate(spec.gates):
+        out[j * d:(j + 1) * d, j * d:(j + 1) * d] = g
+    return out
+
+
+def embed_input(spec, input_state):
+    """Extended target state: input amplitudes on subspace 0, zeros elsewhere."""
+    ext = np.zeros(spec.n * spec.d, dtype=complex)
+    ext[: spec.d] = input_state.data
+    return statevector(ext, dims=(spec.n * spec.d,))
 
 
 class TestSpecValidation:
@@ -181,8 +214,8 @@ class TestRunLcc:
     def test_four_term_pauli_spec_for_su2(self):
         rng = np.random.default_rng(4)
         u = haar_random_unitary(2, rng)
-        dec = pauli_decompose(u)
-        spec = LinearCombinationSpec(tuple(dec.alphas),
+        alphas = pauli_coefficients(u / np.sqrt(np.linalg.det(u)))
+        spec = LinearCombinationSpec(tuple(alphas),
                                      (ID2, SX, 1j * SX @ SZ, SZ))
         psi = random_statevector(2, rng)
         res = run_lcc(spec, statevector(psi))
@@ -539,6 +572,15 @@ class TestSuccessProbabilityHelper:
         res = run_lcc(spec, psi)
         assert abs(lcc_success_probability(spec, psi)
                    - res.success_probability) < 1e-12
+
+    def test_checks_its_input_like_the_circuits(self):
+        spec = gates.combination_spec("U2")
+        # a norm of 2 would read as a probability near 2
+        for form in (lcc_success_probability, run_lcc):
+            with pytest.raises(InvalidInputError, match="normalized"):
+                form(spec, statevector([2.0, 0.0]))
+            with pytest.raises(DimensionMismatchError):
+                form(spec, basis_state((3,), (0,)))
 
 
 class TestJsonFormat:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_statevector, random_unitary_combination_spec
+from conftest import (cu_linear_spec, random_statevector,
+                      random_unitary_combination_spec)
 from lccsim import gates, protocol
 from lccsim.gates import A_GATE, B_GATE
-from lccsim.lcc import LinearCombinationSpec, cu_linear_spec
+from lccsim.lcc import LinearCombinationSpec
 from lccsim.qcore import (ID2, InvalidInputError, SX, SZ,
                           basis_state, haar_random_unitary,
                           statevector, tensor)
@@ -330,6 +331,14 @@ class TestSendPolicy:
                                   control_rho=np.outer(c, c.conj()))
         avg = protocol.empirical_server_average(pol, 100000, rng)
         assert np.abs(avg - np.eye(2) / 2.0).max() < 0.01
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_empirical_average_needs_a_sample(self, samples):
+        # no sample would divide zero by zero
+        pol = pure_policy([R2, R2])
+        with pytest.raises(InvalidInputError, match="samples"):
+            protocol.empirical_server_average(pol, samples,
+                                              np.random.default_rng(0))
 
 
 class TestRunSession:
@@ -765,6 +774,14 @@ class TestSuccessAccounting:
         with pytest.raises(protocol.qcore.DimensionMismatchError):
             protocol.monte_carlo_success(spec, basis_state((4,), (0,)), 1000,
                                          rng)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_monte_carlo_needs_a_trial(self, trials):
+        # no trial would leave the mean of an empty sample
+        spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
+        with pytest.raises(InvalidInputError, match="trials"):
+            protocol.monte_carlo_success(spec, basis_state((2,), (0,)), trials,
+                                         np.random.default_rng(0))
 
     def test_monte_carlo_input_teleport_qutrit(self):
         # the input teleport succeeds with 1/d^2 also when d is not a

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lccsim import qcore
+from conftest import random_statevector
 from lccsim.qcore import (DimensionMismatchError, HADAMARD, ID2,
-                          InvalidInputError, PAULIS, SX, SY, SZ,
+                          InvalidInputError, SX, SY, SZ,
                           QuantumState, apply_to_subsystems, basis_state,
                           format_matrix, haar_random_unitary,
                           measure_postselect, parse_matrix,
-                          partial_trace, phase_aligned_distance,
-                          state_fidelity, statevector, tensor)
+                          phase_aligned_distance, statevector, tensor)
 
 
 def bell_state():
@@ -48,11 +47,10 @@ class TestApplyToSubsystems:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
-        st = statevector((rng.normal(size=8) + 1j * rng.normal(size=8)),
-                         dims=(2, 2, 2)).normalized()
+        st = statevector(random_statevector(8, rng), dims=(2, 2, 2))
         u = haar_random_unitary(4, rng)
         out = apply_to_subsystems(st, u, [0, 2])
-        assert abs(out.norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
 
     def test_duplicate_target_rejected(self):
         st = basis_state((2, 2), (0, 0))
@@ -92,28 +90,6 @@ class TestApplyMatchesDenseEmbed:
         want = dense_embed(op, dims, targets) @ st.data
         assert np.abs(out.data - want).max() < 1e-12
 
-    @pytest.mark.parametrize("dims, targets", CASES)
-    def test_density(self, dims, targets):
-        rng = np.random.default_rng(100 + sum(dims) + len(targets))
-        total = int(np.prod(dims))
-        a = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
-        rho = QuantumState("density", dims, a @ a.conj().T / np.trace(a @ a.conj().T))
-        dt = int(np.prod([dims[t] for t in targets]))
-        op = haar_random_unitary(dt, rng)
-        out = apply_to_subsystems(rho, op, targets)
-        full = dense_embed(op, dims, targets)
-        want = full @ rho.data @ full.conj().T
-        assert np.abs(out.data - want).max() < 1e-12
-
-    def test_density_agrees_with_statevector(self):
-        rng = np.random.default_rng(7)
-        st = statevector(rng.normal(size=12) + 1j * rng.normal(size=12),
-                         dims=(2, 3, 2)).normalized()
-        op = haar_random_unitary(4, rng)
-        via_rho = apply_to_subsystems(st.to_density(), op, [2, 0])
-        via_psi = apply_to_subsystems(st, op, [2, 0]).to_density()
-        assert np.abs(via_rho.data - via_psi.data).max() < 1e-12
-
     def test_wrong_operator_shape_rejected(self):
         st = basis_state((2, 3), (0, 0))
         with pytest.raises(DimensionMismatchError):
@@ -127,7 +103,7 @@ class TestApplyMatchesDenseEmbed:
     def test_duplicate_target_is_invalid_input(self):
         st = basis_state((2, 2), (0, 0))
         with pytest.raises(InvalidInputError):
-            apply_to_subsystems(st.to_density(), np.eye(4), [1, 1])
+            apply_to_subsystems(st, np.eye(4), [1, 1])
 
 
 class TestMeasurePostselect:
@@ -143,8 +119,7 @@ class TestMeasurePostselect:
 
     def test_probability_is_preprojection_norm(self):
         rng = np.random.default_rng(3)
-        st = statevector(rng.normal(size=4) + 1j * rng.normal(size=4),
-                         dims=(2, 2)).normalized()
+        st = statevector(random_statevector(4, rng), dims=(2, 2))
         total = sum(measure_postselect(st, [0], (x,)).probability
                     for x in range(2))
         assert abs(total - 1.0) < 1e-12
@@ -152,65 +127,6 @@ class TestMeasurePostselect:
     def test_invalid_label(self):
         with pytest.raises(InvalidInputError):
             measure_postselect(basis_state((2,), (0,)), [0], (2,))
-
-
-class TestStateFidelity:
-    def test_same(self):
-        z = basis_state((2,), (0,))
-        assert state_fidelity(z, z) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert state_fidelity(basis_state((2,), (0,)),
-                              basis_state((2,), (1,))) == pytest.approx(0.0)
-
-    def test_maximally_mixed(self):
-        mixed = QuantumState("density", (2,), np.eye(2) / 2)
-        assert state_fidelity(basis_state((2,), (0,)),
-                              mixed) == pytest.approx(0.5)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(4)
-        a = statevector(rng.normal(size=2) + 1j * rng.normal(size=2)).normalized()
-        rho = QuantumState("density", (2,), np.array([[0.7, 0.1], [0.1, 0.3]],
-                                                     dtype=complex))
-        assert state_fidelity(a, rho) == pytest.approx(state_fidelity(rho, a))
-
-
-def _random_density(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def _mixed_pairs():
-    """(label, a, b, fidelity) with the fidelity of the float64 inputs
-    computed at 60 significant digits (mpmath, eigendecompositions)."""
-    rng = np.random.default_rng(2026)
-    pairs = [(f"full-rank d={d}", _random_density(d, rng), _random_density(d, rng))
-             for d in (2, 3, 4)]
-    # exact zeros outside overlapping supports of rank 2 and rank 3
-    a = np.zeros((4, 4), dtype=complex)
-    a[:2, :2] = _random_density(2, rng)
-    b = np.zeros((4, 4), dtype=complex)
-    b[1:, 1:] = _random_density(3, rng)
-    pairs.append(("rank-deficient", a, b))
-    # every entry of |v><v| is exact, so the input has rank exactly one
-    v = np.array([0.5, 0.5, 0.5j, 0.5])
-    pairs.append(("pure", np.outer(v, v.conj()), _random_density(4, rng)))
-    pairs.append(("maximally mixed", np.eye(4) / 4, np.eye(4) / 4))
-    want = (0.7897689842908995, 0.5122089214041297, 0.7532150104250888,
-            0.1209205182828867, 0.29844284751137873, 1.0)
-    return [(*pair, f) for pair, f in zip(pairs, want)]
-
-
-class TestMixedFidelity:
-    @pytest.mark.parametrize("label, a, b, want", _mixed_pairs(),
-                             ids=[p[0] for p in _mixed_pairs()])
-    def test_pinned(self, label, a, b, want):
-        d = a.shape[0]
-        sa, sb = QuantumState("density", (d,), a), QuantumState("density", (d,), b)
-        assert abs(state_fidelity(sa, sb) - want) < 1e-10
-        assert abs(state_fidelity(sb, sa) - want) < 1e-10
 
 
 class TestHaarRandomUnitary:
@@ -255,38 +171,7 @@ class TestPhaseAlignedDistance:
             phase_aligned_distance(b, a))
 
 
-class TestPartialTrace:
-    def test_bell_reduced(self):
-        rho = partial_trace(bell_state(), keep=[0])
-        assert np.abs(rho.data - np.eye(2) / 2).max() < 1e-12
-
-    def test_keep_everything(self):
-        st = bell_state()
-        rho = partial_trace(st, keep=[0, 1])
-        assert np.abs(rho.data - st.to_density().data).max() < 1e-12
-
-    def test_composition(self):
-        rng = np.random.default_rng(11)
-        st = statevector(rng.normal(size=8) + 1j * rng.normal(size=8),
-                         dims=(2, 2, 2)).normalized()
-        one_shot = partial_trace(st, keep=[0])
-        two_step = partial_trace(partial_trace(st, keep=[0, 1]), keep=[0])
-        assert np.abs(one_shot.data - two_step.data).max() < 1e-12
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(12)
-        st = statevector(rng.normal(size=4) + 1j * rng.normal(size=4),
-                         dims=(2, 2)).normalized()
-        rho = partial_trace(st, keep=[1])
-        assert abs(np.trace(rho.data).real - 1.0) < 1e-12
-
-
 class TestStateValidation:
-    def test_density_must_be_hermitian(self):
-        with pytest.raises(InvalidInputError):
-            QuantumState("density", (2,), np.array([[1, 1], [0, 0]],
-                                                   dtype=complex))
-
     def test_dims_must_match(self):
         with pytest.raises((InvalidInputError, DimensionMismatchError)):
             statevector(np.ones(3), dims=(2, 2))
@@ -298,9 +183,9 @@ class TestStateValidation:
     def test_negative_dims_rejected(self):
         # prod(-2, -1) = 2 would otherwise match the data's length
         with pytest.raises(DimensionMismatchError):
-            QuantumState("statevector", (-2, -1), np.zeros(2))
+            QuantumState((-2, -1), np.zeros(2))
         with pytest.raises(DimensionMismatchError):
-            QuantumState("statevector", (2, -1, 0), np.zeros(0))
+            QuantumState((2, -1, 0), np.zeros(0))
 
     def test_zero_length_state_allowed(self):
         st = statevector([])

@@ -16,7 +16,6 @@ BUILDERS = {
     "QuantumState": lambda: qcore.statevector([R, R]),
     "LinearCombinationSpec": lambda: LinearCombinationSpec(
         (R, R), (qcore.ID2, qcore.SX)),
-    "PauliDecomposition": lambda: kak.pauli_decompose(qcore.HADAMARD),
     "KakDecomposition": lambda: kak.kak_decompose(CNOT),
     "MagicBasisWork": lambda: kak.simultaneous_svd(np.eye(4), np.zeros((4, 4))),
     "ChiMatrix": lambda: ChiMatrix(np.diag([1.0, 0.0, 0.0, 0.0])),
