@@ -35,8 +35,18 @@ class _CliError(Exception):
         self.code = code
 
 
+def _fixed(x: float, fmt: str = "+.12f") -> str:
+    """``x`` in the fixed-point format ``fmt``.  A value that rounds to
+    zero prints as zero with no minus sign: +0.000000000000, not
+    -0.000000000000."""
+    text = format(x, fmt)
+    if text.startswith("-") and not text.strip("-0."):
+        text = text.replace("-", "+" if fmt.startswith("+") else "", 1)
+    return text
+
+
 def _fmt_complex(z: complex) -> str:
-    return f"{z.real:+.12f}{z.imag:+.12f}j"
+    return f"{_fixed(z.real)}{_fixed(z.imag)}j"
 
 
 def _emit(lines: list[str], args, body: str = "") -> None:
@@ -96,7 +106,7 @@ def cmd_lcc(args) -> int:
                                            direct / np.linalg.norm(direct))
     lines = ["# lcc run report",
              f"terms={spec.n} dimension={spec.d} all_unitary={int(spec.all_unitary)}",
-             f"success_probability={result.success_probability:.12f}",
+             f"success_probability={_fixed(result.success_probability, '.12f')}",
              f"residual_vs_direct_combination={residual:.3e}",
              "# output state amplitudes"]
     lines += [_fmt_complex(z) for z in result.output_state.data]
@@ -108,9 +118,9 @@ def _kak_report(u: np.ndarray, label: str) -> list[str]:
     dec = kak.kak_decompose(u)
     residual = qcore.phase_aligned_distance(dec.reconstruct(), u)
     lines = [f"# kak decomposition: {label}",
-             "k_vector=" + " ".join(f"{v:+.12f}" for v in dec.k_vector),
+             "k_vector=" + " ".join(_fixed(v) for v in dec.k_vector),
              "alphas=" + " ".join(_fmt_complex(a) for a in dec.alphas),
-             f"global_phase={dec.global_phase:+.12f}",
+             f"global_phase={_fixed(dec.global_phase)}",
              f"residual={residual:.3e}"]
     for name, m in (("u1", dec.u1), ("v1", dec.v1),
                     ("u2", dec.u2), ("v2", dec.v2)):
@@ -234,12 +244,13 @@ def cmd_protocol(args) -> int:
     # summary is counted once, by to_text
     completion = transcript.completed_rounds / rounds if rounds else 0.0
     lines = [f"# protocol session: operation={op_name} rounds={rounds} seed={seed}",
-             f"# p_compute={policy.p_control:.12f} p_decoy={policy.p_decoy:.12f} "
-             f"p_basis_each={policy.p_basis:.12f}",
-             f"# analytic_success_probability={analytic:.12f}",
-             f"# empirical_completion={completion:.12f}",
+             f"# p_compute={_fixed(policy.p_control, '.12f')} "
+             f"p_decoy={_fixed(policy.p_decoy, '.12f')} "
+             f"p_basis_each={_fixed(policy.p_basis, '.12f')}",
+             f"# analytic_success_probability={_fixed(analytic, '.12f')}",
+             f"# empirical_completion={_fixed(completion, '.12f')}",
              f"# detections={transcript.detection_events} "
-             f"analytic_detection_rate={detect_rate:.12f}"]
+             f"analytic_detection_rate={_fixed(detect_rate, '.12f')}"]
     _emit(lines, args, transcript.to_text())
     return EXIT_OK
 
@@ -269,7 +280,8 @@ def cmd_tomography(args) -> int:
             raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {name!r}")
     analytic = args.noise == 0.0 and not args.sampled
     rng = _require_seed(args) if not analytic else None
-    lines = [f"# tomography: shots={args.shots} noise={args.noise:.6f} "
+    lines = [f"# tomography: shots={args.shots} "
+             f"noise={_fixed(args.noise, '.6f')} "
              f"mode={'analytic' if analytic else 'sampled'}",
              "# name fidelity std"]
     for name in names:
@@ -285,7 +297,7 @@ def cmd_tomography(args) -> int:
             _, std = tomography.bootstrap_fidelity(dataset, chi_true,
                                                    args.resamples, rng,
                                                    max_iter=2000)
-        lines.append(f"{name} {fid:.6f} {std:.6f}")
+        lines.append(f"{name} {_fixed(fid, '.6f')} {_fixed(std, '.6f')}")
     _emit(lines, args)
     return EXIT_OK
 

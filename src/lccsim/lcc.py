@@ -8,15 +8,16 @@ outcome.  In the extended circuit the controlled swaps run a second time
 after the block-diagonal sum, returning every branch to subspace 0
 before the control register is Hadamarded.
 
-Neither form builds a full-register matrix; both run one kernel.  One
-batched matmul with the term axis first, the spec's read-only (n, d, d)
-gate stack against alpha (x) psi, gives the rows alpha_c V_c psi, and
-H^(x)k on the control register is one real matmul of the cached (n, n)
-Sylvester matrix, entries +-1/sqrt(n), with their float64 view.  The
-postselected all-zero branch is row 0.  The extended circuit's state is
-these rows in subspace 0 and exact zeros elsewhere (see ``run_lcc``), so
-a run costs O(n d^2) work and holds the O(n d) rows; the O(n^2 d)
-register is built only on the first read of ``pre_measurement_state``.
+Neither form builds a full-register matrix; both run one kernel.  The
+rows H^(x)k (alpha_c V_c psi) are linear in psi, so each spec compiles,
+once, the read-only (n*d, d) ``circuit_matrix`` whose row block r is
+sum_c H[r, c] alpha_c V_c, with H the (n, n) Sylvester matrix, entries
++-1/sqrt(n); a run is then one (n*d, d) matvec.  The postselected
+all-zero branch is row 0.  The extended circuit's state is these rows in
+subspace 0 and exact zeros elsewhere (see ``run_lcc``), so a run costs
+O(n d^2) work and holds the O(n d) rows; the O(n^2 d) register is built
+only on the first read of ``pre_measurement_state``, and the O(n^2 d^2)
+compilation is paid once per spec.
 """
 
 from __future__ import annotations
@@ -47,12 +48,17 @@ class LinearCombinationSpec:
 
     The coefficients are copied into a read-only array, and the gates
     once into the read-only (n, d, d) ``gate_stack``; ``gates`` holds
-    views into it, so the two can never disagree.
+    views into it, so the two can never disagree.  Both circuit forms run
+    the read-only (n*d, d) ``circuit_matrix``, built here: its row block
+    r is sum_c H[r, c] alpha_c V_c, H the Sylvester matrix of H^(x)k.  A
+    block whose entries overflow holds inf or nan; the run that meets it
+    raises (see ``_run``).
     """
 
     coefficients: np.ndarray
     gates: tuple[np.ndarray, ...] = field(repr=False)
     gate_stack: np.ndarray = field(init=False, repr=False)
+    circuit_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.array(self.coefficients, dtype=complex)
@@ -78,6 +84,15 @@ class LinearCombinationSpec:
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(
                 f"coefficients not normalized: sum |alpha|^2 = {norm}")
+        n, d = stack.shape[:2]
+        # H^(x)k multiplies the float64 view of the (n, d^2) terms, which
+        # applies it to their real and imaginary parts at once
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (alpha[:, None, None] * stack).reshape(n, d * d)
+            matrix = (_hadamard_matrix(n) @ terms.view(np.float64)
+                      ).view(complex).reshape(n * d, d)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "circuit_matrix", matrix)
 
     @property
     def n(self) -> int:
@@ -166,19 +181,16 @@ def _run(spec: LinearCombinationSpec, input_state: QuantumState,
          extended: bool) -> LccRunResult:
     """Both circuit forms: the rows H^(x)k (alpha_c V_c psi), postselected.
 
-    H^(x)k multiplies the float64 view of the (n, d) rows, which applies
-    it to their real and imaginary parts at once.  Both forms return the
-    rows; no zeroed (n, n*d) register is built here (see
-    ``LccRunResult``).  A success probability that overflows is an error,
-    and numpy's floating-point warnings stay off stderr.
+    The rows are the spec's ``circuit_matrix`` applied to psi, one
+    matvec.  Both forms return the rows; no zeroed (n, n*d) register is
+    built here (see ``LccRunResult``).  A success probability that
+    overflows is an error, and numpy's floating-point warnings stay off
+    stderr.
     """
     _check_input(spec, input_state)
     n, d = spec.n, spec.d
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = spec.gate_stack @ np.multiply.outer(
-            spec.coefficients, input_state.data)[:, :, None]
-        rows = (_hadamard_matrix(n)
-                @ terms.reshape(n, d).view(np.float64)).view(complex)
+        rows = (spec.circuit_matrix @ input_state.data).reshape(n, d)
         p = float(np.vdot(rows[0], rows[0]).real)
     if not math.isfinite(p):
         raise InvalidInputError(

@@ -334,7 +334,8 @@ def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
 
     The server's control is its EPR halves, so the LCC stage sees the
     uniform mixture of the n subspaces: it succeeds with probability
-    p_lcc = S / n^2, where S = sum_i |V_i psi|^2.  The client's
+    p_lcc = S / n^2, where S = sum_i |V_i psi|^2.  Terms large enough
+    that S / n^2 > 1 (beyond rounding) are invalid input.  The client's
     postselected Bell measurements then complete the round with
     probability |w|^2 / (n S), or 0 when S = 0.
     """
@@ -348,8 +349,14 @@ def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
     s = float(norm2[:n].sum())
     unit = np.divide(vecs, np.sqrt(norm2)[:, None], out=np.zeros_like(vecs),
                      where=norm2[:, None] > 0)
+    p_lcc = s / n ** 2
+    if p_lcc > 1.0 + 1e-9:
+        raise InvalidInputError(
+            f"the LCC stage's success probability S/n^2 = {p_lcc:.6g} > 1: "
+            "the terms are too large for this input")
     p_complete = norm2[n:] / (n * s) if s > 0 else np.zeros(len(controls))
-    return s / n ** 2, unit[:n], unit[n:], p_complete
+    # rounding can carry S / n^2 = 1 (one unitary term) just past 1
+    return min(p_lcc, 1.0), unit[:n], unit[n:], p_complete
 
 
 def _intercept_basis(k: int, basis: str) -> np.ndarray:
@@ -380,7 +387,8 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     server measures the control, and the client's postselected control
     teleportation either completes the run or fails it.  Verify rounds
     audit the output against V_i |psi> with a single-shot check.  The
-    input must be a normalized statevector (within 1e-9).
+    input must be a normalized statevector (within 1e-9), and the LCC
+    stage's success probability S / n^2 at most 1 (see `_teleport_stage`).
     """
     _check_session(spec, input_state, policy)
     n = spec.n
@@ -533,14 +541,18 @@ def no_cloning_witness(a_gate: np.ndarray, b_gate: np.ndarray,
 
     def required(c):
         comb = (c[0] * np.asarray(a_gate) + c[1] * np.asarray(b_gate)) @ phi.data
-        comb = comb / np.linalg.norm(comb)
-        return np.kron(np.array([c[0], c[1]]), comb)
+        norm = np.linalg.norm(comb)
+        if norm <= 1e-300:
+            raise InvalidInputError(
+                "the combination c_1 A + c_2 B vanishes on phi: there is no "
+                "state to require")
+        return np.kron(np.array([c[0], c[1]]), comb / norm)
 
     c1 = np.asarray(control_1, dtype=complex)
     c2 = np.asarray(control_2, dtype=complex)
     obs = abs(np.vdot(held(c1), held(c2)))
     exp = abs(np.vdot(required(c1), required(c2)))
-    vacuous = abs(np.vdot(c1, c2)) < 1e-12
+    vacuous = bool(abs(np.vdot(c1, c2)) < 1e-12)
     return WitnessReport(float(obs), float(exp), vacuous)
 
 
@@ -567,8 +579,9 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
     teleport (one generalized Bell outcome of d^2), one LCC attempt, and
     the control-qubit teleports.  The LCC and control stages come from
     the exact simulation, not from the analytic account being tested.
-    The input must be a normalized statevector (within 1e-9), and
-    ``trials`` at least 1.
+    The input must be a normalized statevector (within 1e-9), ``trials``
+    at least 1, and the LCC stage's success probability S / n^2 at most
+    1, as in `run_session`.
     """
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")

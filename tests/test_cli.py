@@ -135,6 +135,29 @@ class TestKakCommand:
         kvec = capsys.readouterr().out.split("k_vector=")[1].splitlines()[0]
         assert all(abs(float(v)) < 1e-9 for v in kvec.split())
 
+    def test_iswap_prints_no_negative_zero(self, tmp_path, capsys):
+        # iSWAP's k_vector, alphas and global phase hold values that
+        # round to zero from below
+        iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0],
+                          [0, 0, 0, 1]])
+        path = tmp_path / "iswap.txt"
+        path.write_text(qcore.format_matrix(iswap))
+        assert run(["kak", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "-0.000000000000" not in out
+        assert "global_phase=+0.000000000000\n" in out
+
+    @pytest.mark.parametrize("x, fmt, text", [
+        (-0.0, "+.12f", "+0.000000000000"),
+        (-4e-13, "+.12f", "+0.000000000000"),
+        (-6e-13, "+.12f", "-0.000000000001"),
+        (-1e-15, ".12f", "0.000000000000"),
+        (-1e-7, ".6f", "0.000000"),
+        (-0.5, ".6f", "-0.500000"),
+        (0.25, "+.12f", "+0.250000000000")])
+    def test_fixed_point_has_no_negative_zero(self, x, fmt, text):
+        assert cli._fixed(x, fmt) == text
+
     def test_non_unitary_exit_3(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(qcore.format_matrix(np.ones((4, 4), dtype=complex)))
@@ -488,17 +511,17 @@ PROTOCOL_DIGESTS = {
 # A change that moves these bytes must say so and update the digest.
 LCC_DIGESTS = {
     (1, 2, True):
-        "2eb9d3ef943d0610a619f56a2a572df342b34246377b2f4d1f84db51b94d379f",
+        "71641d467f76e419dd1f2d72616186fb2bac5fbcc57e006aa0c0a3be6a8e4ff0",
     (2, 2, True):
-        "9b667ba7f300b0be17d3c6984ed60e2baaaa6fb5ec923f68a2bc30f041d1aaa8",
+        "96a63584edbf6bf68d5de5a76129a6a041d271616b20f0a013f4f1b7186a35ff",
     (4, 4, True):
-        "50be43c5030f07ab60c45f5be863dab54156926083c7bee8fd6ce4819b7ccd9a",
+        "902c5837a1f4288b3ca36a743e572c2513a1890627d712d20a7f60d91990e1ae",
     (16, 2, True):
-        "627cff4122479b0ef58720afebbd1bd37b09732f18d21084ad25cb514b639005",
+        "889656a0a879151ec7d61afa5580890a7e6db6396767044a9a93ea785ae3fe7b",
     (16, 4, True):
-        "2c6487cab7fa68d8d805fe71a95b3b25b67f3706c92a833f9f69f8f41be70cfb",
+        "d0bef545fd55c2734f9786a076294475c40cc7b13a1159cba1e107472e12c739",
     (4, 2, False):
-        "cd3b25755a9f9a53bd13d13aed136ac30d9a1e7ba7f4ac81e141f132da7583e3",
+        "0fe12b5d20ad3fb907a43e956157f76f0c4c17e65db3a7a7a92fa65859f71057",
 }
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,7 +412,9 @@ class TestRunLccAtScale:
         n, d = 128, 8
         spec = random_unitary_combination_spec(n, d, rng)
         psi = random_statevector(d, rng)
-        run_lcc(spec, statevector(psi))  # fills the Sylvester-matrix cache
+        # the spec's build filled the Sylvester-matrix cache; an untraced
+        # first run keeps any first-call allocation out of the peak
+        run_lcc(spec, statevector(psi))
         tracemalloc.start()
         try:
             res = run_lcc(spec, statevector(psi))
@@ -479,8 +482,8 @@ class TestKernels:
             assert np.abs(res.output_state.data - out).max() < 1e-12
 
     def test_bytes_do_not_depend_on_blas_threads(self):
-        # the Hadamard and block matmuls go through BLAS; large enough
-        # shapes that a threaded BLAS splits them
+        # the spec's compiling matmul and the run's matvec go through
+        # BLAS; large enough shapes that a threaded BLAS splits them
         script = (
             "import hashlib, numpy as np\n"
             "from lccsim import lcc\n"
@@ -505,6 +508,67 @@ class TestKernels:
                                   capture_output=True, text=True, check=True)
             digests.add(proc.stdout)
         assert len(digests) == 1
+
+
+class TestCircuitMatrix:
+    @staticmethod
+    def random_spec(n, d, unitary, rng):
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        terms = (tuple(haar_random_unitary(d, rng) for _ in range(n))
+                 if unitary else
+                 tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                       for _ in range(n)))
+        return LinearCombinationSpec(alpha / np.linalg.norm(alpha), terms)
+
+    def test_read_only_and_shaped_n_d_by_d(self):
+        spec = self.random_spec(8, 3, False, np.random.default_rng(40))
+        matrix = spec.circuit_matrix
+        assert matrix.shape == (24, 3)
+        assert matrix.dtype == complex
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (8, 3), (32, 2), (128, 2)])
+    def test_is_hadamard_mixed_stack_of_weighted_terms(self, n, d, unitary):
+        spec = self.random_spec(n, d, unitary,
+                                np.random.default_rng(500 * n + d))
+        weighted = np.vstack([a * g for a, g in zip(spec.coefficients,
+                                                    spec.gates)])
+        want = np.kron(hadamard_power(spec.k), np.eye(d)) @ weighted
+        assert np.abs(spec.circuit_matrix - want).max() < 1e-14
+
+    # 1e308 gates overflow only in the run's |row 0|^2; the complex
+    # 1.5e308 (1 + i) gates overflow already in the matrix's H^(x)k sum
+    @pytest.mark.parametrize("alpha, gate, finite", [
+        ((R2, R2), 1e308 * ID2, True),
+        ((0.5 + 0.5j, 0.5 + 0.5j), 1.5e308 * (1 + 1j) * ID2, False)])
+    def test_overflow_builds_quietly_and_the_run_raises(self, alpha, gate,
+                                                        finite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = LinearCombinationSpec(alpha, (gate, gate))
+        assert np.isfinite(spec.circuit_matrix).all() == finite
+        for form in (run_lcc, run_lcc_controlled_form):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="overflows"):
+                    form(spec, basis_state((2,), (0,)))
+
+    def test_runs_do_not_rebuild_it(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        spec = random_unitary_combination_spec(8, 2, rng)
+        psi = random_statevector(2, rng)
+
+        def rebuilt(n):
+            raise AssertionError("a run rebuilt the Sylvester matrix")
+
+        monkeypatch.setattr(lcc, "_hadamard_matrix", rebuilt)
+        for form, extended in ((run_lcc, True), (run_lcc_controlled_form, False)):
+            pre, p, out = blockwise_reference(spec, psi, extended)
+            res = form(spec, statevector(psi))
+            assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+            assert abs(res.success_probability - p) < 1e-12
 
 
 class TestControlledForm:

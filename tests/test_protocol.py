@@ -460,6 +460,31 @@ class TestRunSession:
                                   np.random.default_rng(1))
         assert tr.detection_events == 0
 
+    def test_terms_too_large_rejected(self):
+        # 3 I and 3 X give S = 18, so the LCC stage would succeed with
+        # probability S / n^2 = 4.5
+        spec = LinearCombinationSpec((R2, R2), (3 * ID2, 3 * SX))
+        psi = basis_state((2,), (0,))
+        policy = pure_policy(spec.coefficients)
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=0.5)
+        with pytest.raises(InvalidInputError, match=r"S/n\^2 = 4\.5 > 1"):
+            protocol.run_session(spec, psi, policy, beh, 10,
+                                 np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match=r"S/n\^2 = 4\.5 > 1"):
+            protocol.intercept_detection_rate(spec, psi, policy, beh)
+
+    def test_one_term_unitary_stage_succeeds_at_once(self):
+        # |V psi|^2 of a unitary V often rounds to just past 1
+        rng = np.random.default_rng(20)
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=0.5)
+        for _ in range(20):
+            spec = LinearCombinationSpec((1.0,), (haar_random_unitary(2, rng),))
+            psi = statevector(random_statevector(2, rng))
+            tr = protocol.run_session(spec, psi, protocol.SendPolicy(
+                0.5, 0.5, np.eye(1)), beh, 5, rng)
+            assert tr.lcc_retries.tolist() == [1] * 5
+            assert protocol.monte_carlo_success(spec, psi, 5, rng) == 1.0
+
     def test_dimension_mismatch(self):
         spec, _ = self.spec_and_input()
         pol = pure_policy(spec.coefficients)
@@ -744,6 +769,18 @@ class TestNoCloningWitness:
                                         (1, 0), (0, 1))
         assert w.vacuous
 
+    def test_vacuous_is_a_plain_bool(self):
+        for c2 in ((0, 1), (R2, R2)):
+            w = protocol.no_cloning_witness(ID2, SX, basis_state((2,), (0,)),
+                                            (1, 0), c2)
+            assert type(w.vacuous) is bool
+
+    def test_vanishing_combination_rejected(self):
+        # (I - I) |0> / sqrt(2) = 0: no state to require
+        with pytest.raises(InvalidInputError, match="vanishes"):
+            protocol.no_cloning_witness(ID2, -ID2, basis_state((2,), (0,)),
+                                        (1, 0), (R2, R2))
+
 
 class TestSuccessAccounting:
     def test_analytic_values(self):
@@ -781,6 +818,13 @@ class TestSuccessAccounting:
         spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
         with pytest.raises(InvalidInputError, match="trials"):
             protocol.monte_carlo_success(spec, basis_state((2,), (0,)), trials,
+                                         np.random.default_rng(0))
+
+    def test_monte_carlo_rejects_terms_too_large(self):
+        # S / n^2 = 4.5 is no probability; it used to pass every LCC stage
+        spec = LinearCombinationSpec((R2, R2), (3 * ID2, 3 * SX))
+        with pytest.raises(InvalidInputError, match=r"S/n\^2 = 4\.5 > 1"):
+            protocol.monte_carlo_success(spec, basis_state((2,), (0,)), 1000,
                                          np.random.default_rng(0))
 
     def test_monte_carlo_input_teleport_qutrit(self):
