@@ -238,10 +238,8 @@ def cmd_protocol(args) -> int:
     transcript = protocol.run_session(spec, input_state, policy, behavior,
                                       rounds, rng)
     analytic = protocol.success_probability_account(spec)
-    detect_rate = protocol.intercept_detection_rate(spec, input_state,
-                                                    policy, behavior)
-    # the header reads its two counts off the transcript, so that the
-    # summary is counted once, by to_text
+    # the header reads its counts and its detection rate off the
+    # transcript, so the summary is counted once and the law built once
     completion = transcript.completed_rounds / rounds if rounds else 0.0
     lines = [f"# protocol session: operation={op_name} rounds={rounds} seed={seed}",
              f"# p_compute={_fixed(policy.p_control, '.12f')} "
@@ -250,7 +248,8 @@ def cmd_protocol(args) -> int:
              f"# analytic_success_probability={_fixed(analytic, '.12f')}",
              f"# empirical_completion={_fixed(completion, '.12f')}",
              f"# detections={transcript.detection_events} "
-             f"analytic_detection_rate={_fixed(detect_rate, '.12f')}"]
+             f"analytic_detection_rate="
+             f"{_fixed(transcript.analytic_detection_rate, '.12f')}"]
     _emit(lines, args, transcript.to_text())
     return EXIT_OK
 
@@ -348,10 +347,7 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except kak.DecompositionError as exc:
+    except (InvalidInputError, kak.DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:

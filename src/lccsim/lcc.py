@@ -177,6 +177,13 @@ def _check_input(spec: LinearCombinationSpec, input_state: QuantumState):
         raise InvalidInputError("input state must be normalized")
 
 
+def _finite_probability(p: float) -> float:
+    if not math.isfinite(p):
+        raise InvalidInputError(
+            "the success probability overflows: the gates are too large")
+    return p
+
+
 def _run(spec: LinearCombinationSpec, input_state: QuantumState,
          extended: bool) -> LccRunResult:
     """Both circuit forms: the rows H^(x)k (alpha_c V_c psi), postselected.
@@ -191,10 +198,7 @@ def _run(spec: LinearCombinationSpec, input_state: QuantumState,
     n, d = spec.n, spec.d
     with np.errstate(over="ignore", invalid="ignore"):
         rows = (spec.circuit_matrix @ input_state.data).reshape(n, d)
-        p = float(np.vdot(rows[0], rows[0]).real)
-    if not math.isfinite(p):
-        raise InvalidInputError(
-            "the success probability overflows: the gates are too large")
+        p = _finite_probability(float(np.vdot(rows[0], rows[0]).real))
     rows.flags.writeable = False
     # probabilities at rounding-noise scale are a vanishing combination
     if p < ATOL_STRUCT ** 2:
@@ -241,11 +245,12 @@ def lcc_success_probability(spec: LinearCombinationSpec,
     """Closed-form branch probability ||sum alpha_j V_j psi||^2 / n.
 
     The input must be a normalized ``spec.d``-dim statevector (within
-    1e-9), as for the circuits.
+    1e-9), and a probability that overflows is an error, as for the circuits.
     """
     _check_input(spec, input_state)
-    w = spec.combination() @ input_state.data
-    return float(np.vdot(w, w).real) / spec.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = spec.combination() @ input_state.data
+        return _finite_probability(float(np.vdot(w, w).real) / spec.n)
 
 
 # -- spec file format (JSON) --------------------------------------------------

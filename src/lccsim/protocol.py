@@ -18,9 +18,9 @@ An intercepting server measures each control qubit in a fixed basis
 before use.  Verification states are computational-basis states, so a
 computational-basis intercept is invisible to the client; the default
 attack basis is therefore the diagonal (Hadamard) one, the simplest
-measurement that actually randomizes verify outcomes.
-`intercept_detection_rate` is the exact expectation of a round's
-``detected`` flag in such a session.
+measurement that actually randomizes verify outcomes.  `run_session`
+samples the cells of one exact law, `_session_law`, and the detection
+rate sums them: it is the exact expectation of a round's ``detected``.
 """
 
 from __future__ import annotations
@@ -220,6 +220,8 @@ class _Cell(NamedTuple):
     verify_index: int | None
     intercepted: bool
     fidelity: float | None  # of the output, when the round completes
+    q: float  # the probability that a round falls here (`_session_law`)
+    p_complete: float  # the probability that such a round completes
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +247,11 @@ class ProtocolTranscript:
     @property
     def completed_rounds(self) -> int:
         return int(np.count_nonzero(self.completed))
+
+    @property
+    def analytic_detection_rate(self) -> float:
+        """`intercept_detection_rate`, read off the cells."""
+        return _detection_rate(self.cells)
 
     def summary(self) -> dict:
         total = len(self.cell)
@@ -340,20 +347,21 @@ def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
     probability |w|^2 / (n S), or 0 when S = 0.
     """
     n = spec.n
-    terms = spec.gate_stack @ input_state.data
-    vecs = np.concatenate([terms, (controls[:, :, None] * terms).sum(1)])
-    # a matmul per vector rounds |v|^2 (and below, <a|b>) as np.vdot
-    # does, which keeps the bytes of seeded outputs
-    norm2 = (vecs.conj()[:, None] @ vecs[:, :, None]).real.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = spec.gate_stack @ input_state.data
+        vecs = np.concatenate([terms, (controls[:, :, None] * terms).sum(1)])
+        # a matmul per vector rounds |v|^2 as np.vdot does, which keeps
+        # the bytes of seeded outputs
+        norm2 = (vecs.conj()[:, None] @ vecs[:, :, None]).real.ravel()
     norm2[norm2 <= 1e-300] = 0.0  # a vector at underflow scale is zero
     s = float(norm2[:n].sum())
-    unit = np.divide(vecs, np.sqrt(norm2)[:, None], out=np.zeros_like(vecs),
-                     where=norm2[:, None] > 0)
     p_lcc = s / n ** 2
-    if p_lcc > 1.0 + 1e-9:
+    if not p_lcc <= 1.0 + 1e-9:  # an S that overflowed is inf or nan
         raise InvalidInputError(
             f"the LCC stage's success probability S/n^2 = {p_lcc:.6g} > 1: "
             "the terms are too large for this input")
+    unit = np.divide(vecs, np.sqrt(norm2)[:, None], out=np.zeros_like(vecs),
+                     where=norm2[:, None] > 0)
     p_complete = norm2[n:] / (n * s) if s > 0 else np.zeros(len(controls))
     # rounding can carry S / n^2 = 1 (one unitary term) just past 1
     return min(p_lcc, 1.0), unit[:n], unit[n:], p_complete
@@ -369,29 +377,18 @@ def _intercept_basis(k: int, basis: str) -> np.ndarray:
     return basis_vecs
 
 
-def _check_session(spec: LinearCombinationSpec, input_state: QuantumState,
-                   policy: SendPolicy):
+def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
+                 policy: SendPolicy, behavior: ServerBehavior
+                 ) -> tuple[float, np.ndarray, np.ndarray, tuple[_Cell, ...]]:
+    """A round's exact law: p_lcc, the `outcome_table` send probabilities,
+    the (entries, n) intercept outcome probabilities |<sent|B_m>|^2 and
+    the cells.  Entry e owns cell e*(n+1), with q = send prob (1 - f), and
+    cell e*(n+1) + 1 + m, with q = send prob f |<sent|B_m>|^2, where f is
+    the intercept fraction when the server intercepts and 0 otherwise."""
     if policy.n != spec.n:
         raise qcore.DimensionMismatchError(
             f"policy dimension {policy.n} != spec term count {spec.n}")
     _check_input(spec, input_state)
-
-
-def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
-                policy: SendPolicy, behavior: ServerBehavior, rounds: int,
-                rng: np.random.Generator) -> ProtocolTranscript:
-    """Simulate a session of protocol runs.
-
-    Every run: the client samples what to send, the server's LCC stage
-    retries geometrically until its all-zero outcome, an intercepting
-    server measures the control, and the client's postselected control
-    teleportation either completes the run or fails it.  Verify rounds
-    audit the output against V_i |psi> with a single-shot check.  The
-    input must be a normalized statevector (within 1e-9), and the LCC
-    stage's success probability S / n^2 at most 1 (see `_teleport_stage`).
-    """
-    _check_session(spec, input_state, policy)
-    n = spec.n
     entries, send_probs = policy.outcome_table()
     sent = np.array([vec for _, vec in entries])
     basis_vecs = _intercept_basis(spec.k, behavior.intercept_basis)
@@ -401,13 +398,9 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     target = spec.combination() @ input_state.data
     norm = np.linalg.norm(target)
     target = target / norm if norm > 1e-300 else None
-
-    # one cell per (sendable state, server outcome): entry e owns cells
-    # e*(n+1) (honest server) and e*(n+1) + 1 + m (intercept outcome m)
-    intercept_rows = list(range(len(entries), len(entries) + n))
+    f = behavior.intercept_fraction if behavior.mode == "intercept" else 0.0
     probs = np.abs(sent @ basis_vecs.conj()) ** 2
-    cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
-    cells, p_complete, audit = [], [], []
+    cells = []
     for e, (label, _) in enumerate(entries):
         kind = label if isinstance(label, str) else label[0]
         verify_index = label[1] if kind == "verify" else None
@@ -415,36 +408,59 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
                else target if kind == "compute" else None)
         if ref is not None and not ref.any():  # V_i annihilates the input
             ref = None
-        # rounding must not let a draw fall past the last possible outcome
-        cdfs[e, np.flatnonzero(probs[e])[-1]:] = 1.0
-        for m, row in enumerate([e] + intercept_rows):
+        for m, row in enumerate([e, *range(len(entries), len(entries) + spec.n)]):
             # rounding can carry |<ref|out>|^2 just past 1
             fidelity = (None if ref is None
                         else min(1.0, float(abs(np.vdot(ref, outputs[row])) ** 2)))
-            cells.append(_Cell(kind, verify_index, m > 0, fidelity))
-            p_complete.append(p_out[row])
-            # a completed verify round is detected when its draw exceeds
-            # the fidelity; no other round ever is
-            audit.append(fidelity if kind == "verify" and fidelity is not None
-                         else np.inf)
+            q = (send_probs[e] * f * probs[e, m - 1] if m
+                 else send_probs[e] * (1.0 - f))
+            cells.append(_Cell(kind, verify_index, m > 0, fidelity, float(q),
+                               float(p_out[row])))
+    return p_lcc, send_probs, probs, tuple(cells)
 
-    idx = rng.choice(len(entries), size=rounds, p=send_probs)
+
+def _detection_rate(cells) -> float:
+    return math.fsum(c.q * c.p_complete * (1.0 - c.fidelity) for c in cells
+                     if c.kind == "verify" and c.intercepted and c.fidelity is not None)
+
+
+def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
+                policy: SendPolicy, behavior: ServerBehavior, rounds: int,
+                rng: np.random.Generator) -> ProtocolTranscript:
+    """Simulate a session of protocol runs: draw them from `_session_law`.
+
+    Every run: the client samples what to send, the server's LCC stage
+    retries geometrically until its all-zero outcome, an intercepting
+    server measures the control, and the client's postselected control
+    teleportation either completes the run or fails it.  Verify rounds
+    audit the output against V_i |psi> with a single-shot check.  The
+    input must be a normalized statevector (within 1e-9), and the LCC
+    stage's success probability S / n^2 at most 1 (see `_teleport_stage`).
+    """
+    p_lcc, send_probs, probs, cells = _session_law(spec, input_state, policy,
+                                                   behavior)
+    n = spec.n
+    cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
+    # rounding must not let a draw fall past the last possible outcome
+    last = n - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    cdfs[np.arange(n) >= last[:, None]] = 1.0
+    idx = rng.choice(len(send_probs), size=rounds, p=send_probs)
     retries = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
                else np.zeros(rounds, dtype=int))
     intercepted = (rng.random(rounds) < behavior.intercept_fraction
                    if behavior.mode == "intercept" else np.zeros(rounds, dtype=bool))
-    u_basis = rng.random(rounds)
-    u_complete = rng.random(rounds)
-    u_detect = rng.random(rounds)
-
+    u_basis, u_complete, u_detect = (rng.random(rounds) for _ in range(3))
     cell = idx * (n + 1)
     # an intercept outcome is the number of its CDF's entries below the
     # draw, as np.searchsorted(cdf, u) counts them, ties included
     rows = np.flatnonzero(intercepted)
     cell[rows] += 1 + (cdfs[idx[rows]] < u_basis[rows, None]).sum(1)
-    completed = u_complete < np.array(p_complete)[cell]
-    detected = completed & (u_detect > np.array(audit)[cell])
-    return ProtocolTranscript(tuple(cells), cell, retries, completed, detected)
+    completed = u_complete < np.array([c.p_complete for c in cells])[cell]
+    # only a completed verify round is detected: when its draw exceeds F
+    audit = np.array([c.fidelity if c.kind == "verify" and c.fidelity is not None
+                      else np.inf for c in cells])
+    detected = completed & (u_detect > audit[cell])
+    return ProtocolTranscript(cells, cell, retries, completed, detected)
 
 
 def intercept_detection_rate(spec: LinearCombinationSpec,
@@ -453,30 +469,13 @@ def intercept_detection_rate(spec: LinearCombinationSpec,
     """Exact per-run detection probability under the intercept attack:
     the expectation of a `run_session` round's ``detected`` flag.
 
-    A verify round sends |i> (probability p_basis each), the server
-    intercepts a fraction f of rounds, and intercept outcome m has
-    probability |B_im|^2, completes with probability p_m and fails the
-    check with probability 1 - |<V_i psi|out_m>|^2, so the rate is
-    p_basis f sum_im |B_im|^2 p_m (1 - |<V_i psi|out_m>|^2).  Compute and
-    decoy rounds never trigger detection, nor do verify rounds whose V_i
-    annihilates the input (there is no state to check against).  A
-    server that does not intercept is never detected: the rate is 0.
-    The input must be a normalized statevector (within 1e-9), and the
-    policy must have one dimension per term, as in `run_session`.
+    It sums q p_complete (1 - F) over `_session_law`'s intercepted verify
+    cells, F = |<V_i psi|out_m>|^2: compute and decoy rounds, and verify
+    rounds whose V_i annihilates the input, are never detected.  Without
+    an intercepting server f = 0, so the rate is exactly 0.  A
+    transcript's ``analytic_detection_rate`` is the same sum.
     """
-    _check_session(spec, input_state, policy)
-    if behavior.mode != "intercept":
-        return 0.0
-    basis_vecs = _intercept_basis(spec.k, behavior.intercept_basis)
-    _, expected, outputs, p_complete = _teleport_stage(spec, input_state,
-                                                      basis_vecs.T)
-    # <V_i psi|out_m> at [i, m]
-    overlap = (expected.conj()[:, None, None] @ outputs[:, :, None])[..., 0, 0]
-    # clamped at 0: rounding can carry |<V_i psi|out_m>|^2 just past 1
-    miss = np.where(expected.any(1)[:, None],
-                    np.maximum(1.0 - np.abs(overlap) ** 2, 0.0), 0.0)
-    return float(np.sum(policy.p_basis * behavior.intercept_fraction
-                        * np.abs(basis_vecs) ** 2 * p_complete * miss))
+    return _detection_rate(_session_law(spec, input_state, policy, behavior)[3])
 
 
 def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,

@@ -206,6 +206,27 @@ class TestProtocolCommand:
         assert "analytic_success_probability=0.125000000000" in out
         assert "# summary" in out
 
+    def test_one_teleport_stage_per_session(self, tmp_path, monkeypatch,
+                                            capsys):
+        # the header's detection rate is read off the session's own law,
+        # not computed by a second teleport stage
+        calls = []
+        stage = protocol._teleport_stage
+
+        def counted(*args):
+            calls.append(args)
+            return stage(*args)
+
+        monkeypatch.setattr(protocol, "_teleport_stage", counted)
+        path = tmp_path / "intercept.json"
+        path.write_text(json.dumps({
+            "operation": "U12", "epsilon": 0.5, "tau": 0.6, "rounds": 300,
+            "seed": 3, "behavior": "intercept", "intercept_fraction": 0.7,
+            "intercept_basis": "x"}))
+        assert run(["protocol", str(path)]) == 0
+        assert len(calls) == 1
+        assert "analytic_detection_rate=0.0000" not in capsys.readouterr().out
+
     def test_unknown_operation_exit_5(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"operation": "U99", "epsilon": 1.0,

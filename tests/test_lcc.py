@@ -646,6 +646,15 @@ class TestSuccessProbabilityHelper:
             with pytest.raises(DimensionMismatchError):
                 form(spec, basis_state((3,), (0,)))
 
+    def test_overflow_raises_like_the_circuits(self):
+        # |sum alpha_j V_j psi|^2 = 2e616 overflows to inf, which both
+        # circuit forms reject
+        spec = LinearCombinationSpec((R2, R2), (1e308 * ID2, 1e308 * ID2))
+        for form in (lcc_success_probability, run_lcc, run_lcc_controlled_form):
+            with pytest.raises(InvalidInputError,
+                               match="the success probability overflows"):
+                form(spec, basis_state((2,), (0,)))
+
 
 class TestJsonFormat:
     def test_roundtrip(self):

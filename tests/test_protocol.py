@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +474,24 @@ class TestRunSession:
         with pytest.raises(InvalidInputError, match=r"S/n\^2 = 4\.5 > 1"):
             protocol.intercept_detection_rate(spec, psi, policy, beh)
 
+    def test_overflowing_terms_rejected_without_warnings(self):
+        # |1e308 psi|^2 overflows, so S / n^2 is inf: each caller of the
+        # teleport stage raises, and numpy prints no RuntimeWarning
+        spec = LinearCombinationSpec((R2, R2), (1e308 * ID2, 1e308 * ID2))
+        psi, policy = basis_state((2,), (0,)), pure_policy((R2, R2))
+        beh = protocol.ServerBehavior(mode="intercept", intercept_fraction=0.5)
+        for call in (lambda: protocol.run_session(spec, psi, policy, beh, 10,
+                                                  np.random.default_rng(0)),
+                     lambda: protocol.intercept_detection_rate(spec, psi,
+                                                               policy, beh),
+                     lambda: protocol.monte_carlo_success(
+                         spec, psi, 10, np.random.default_rng(0))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError,
+                                   match=r"S/n\^2 = inf > 1"):
+                    call()
+
     def test_one_term_unitary_stage_succeeds_at_once(self):
         # |V psi|^2 of a unitary V often rounds to just past 1
         rng = np.random.default_rng(20)
@@ -528,6 +547,82 @@ class TestRunSession:
         assert len(tr.rounds) == 10
         assert protocol.intercept_detection_rate(spec, psi, pol, beh) > 0
 
+    @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
+    @pytest.mark.parametrize("basis", [None, "x", "z"])
+    def test_counts_match_the_law(self, name, basis):
+        # every count of one session is binomial with p = sum of its
+        # cells' q (times p_complete, times 1 - F); 4 sigma, because 180
+        # checks at 3 sigma would expect a chance miss
+        spec, psi, policy, behavior = registry_case(name, basis)
+        rounds = 20000
+        seed = [int(name[1:]), [None, "x", "z"].index(basis)]
+        tr = protocol.run_session(spec, psi, policy, behavior, rounds,
+                                  np.random.default_rng(seed))
+        cells = tr.cells
+        expected = {kind: sum(c.q for c in cells if c.kind == kind)
+                    for kind in ("compute", "decoy", "verify")}
+        expected["completed"] = sum(c.q * c.p_complete for c in cells)
+        expected["detections"] = sum(
+            c.q * c.p_complete * (1.0 - c.fidelity) for c in cells
+            if c.kind == "verify" and c.fidelity is not None)
+        s = tr.summary()
+        counts = {kind: s["kind_counts"].get(kind, 0)
+                  for kind in ("compute", "decoy", "verify")}
+        counts["completed"] = s["completed"]
+        counts["detections"] = s["detections"]
+        for key, p in expected.items():
+            sigma = math.sqrt(rounds * p * max(1.0 - p, 0.0))
+            assert abs(counts[key] - rounds * p) <= 4 * sigma, (key, p)
+        assert abs(tr.analytic_detection_rate - expected["detections"]) < 1e-15
+
+
+def registry_case(name, basis):
+    """A registry operation's spec, a fixed input and policy, and an
+    honest server (basis None) or one that intercepts 70% of rounds in
+    the x or z basis."""
+    spec = gates.combination_spec(name)
+    psi = statevector([math.cos(0.3), np.exp(0.7j) * math.sin(0.3)])
+    policy = pure_policy(spec.coefficients, epsilon=0.5, tau=0.6)
+    behavior = (protocol.ServerBehavior() if basis is None else
+                protocol.ServerBehavior(mode="intercept", intercept_fraction=0.7,
+                                        intercept_basis=basis))
+    return spec, psi, policy, behavior
+
+
+def round_case(n, d, unitary):
+    """A random n-term spec on a d-dim register, unitary terms or not,
+    a random input, and a pure policy on the coefficients."""
+    # non-unitary terms have S = sum_j |V_j psi|^2 != n, where a
+    # completion of |w|^2 / n^2 is off by n / S
+    rng = np.random.default_rng(100 * n + 10 * d + unitary)
+    terms = []
+    for _ in range(n):
+        if unitary:
+            terms.append(haar_random_unitary(d, rng))
+        else:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            terms.append(g / np.linalg.norm(g, 2) * rng.uniform(0.3, 1.0))
+    spec = LinearCombinationSpec(random_statevector(n, rng), terms)
+    psi = statevector(random_statevector(d, rng))
+    policy = pure_policy(spec.coefficients,
+                         epsilon=0.5 / max(n - 1, 1), tau=0.5)
+    return spec, psi, policy
+
+
+def intercepted_control(control, basis, m):
+    """The server measures the k control qubits one by one in the x or z
+    basis.  Returns the probability of outcome m (its bits, first qubit
+    most significant) and the control state that outcome leaves."""
+    k = len(control).bit_length() - 1
+    bits = [(m >> (k - 1 - q)) & 1 for q in range(k)]
+    st = statevector(control, dims=(2,) * k)
+    post = basis_state((2,) * k, bits)
+    if basis == "x":  # rotate the x basis onto the z basis and back
+        for q in range(k):
+            st = protocol.apply_to_subsystems(st, protocol.HADAMARD, [q])
+            post = protocol.apply_to_subsystems(post, protocol.HADAMARD, [q])
+    return protocol.measure_postselect(st, range(k), bits).probability, post.data
+
 
 def state_level_round(spec, psi, control):
     """One honest round on the full register: the client's control
@@ -562,20 +657,7 @@ class TestStateLevelRound:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("unitary", [True, False])
     def test_honest_round_matches_circuit(self, n, d, unitary):
-        # non-unitary terms have S = sum_j |V_j psi|^2 != n, where a
-        # completion of |w|^2 / n^2 is off by n / S
-        rng = np.random.default_rng(100 * n + 10 * d + unitary)
-        terms = []
-        for _ in range(n):
-            if unitary:
-                terms.append(haar_random_unitary(d, rng))
-            else:
-                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                terms.append(g / np.linalg.norm(g, 2) * rng.uniform(0.3, 1.0))
-        spec = LinearCombinationSpec(random_statevector(n, rng), terms)
-        psi = statevector(random_statevector(d, rng))
-        policy = pure_policy(spec.coefficients,
-                             epsilon=0.5 / max(n - 1, 1), tau=0.5)
+        spec, psi, policy = round_case(n, d, unitary)
         entries, _ = policy.outcome_table()
         assert {label if isinstance(label, str) else label[0]
                 for label, _ in entries} == {"compute", "decoy", "verify"}
@@ -598,6 +680,47 @@ class TestStateLevelRound:
                 want = spec.gates[label[1]] @ psi.data
             fidelity = abs(np.vdot(want / np.linalg.norm(want), out)) ** 2
             assert abs(cells[e * (n + 1)].fidelity - fidelity) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("basis", ["x", "z"])
+    def test_intercepted_round_matches_circuit(self, n, d, unitary, basis):
+        # the server measures the control before use, so the round runs
+        # with the outcome's basis state in place of the sent control
+        spec, psi, policy = round_case(n, d, unitary)
+        f = 0.7
+        behavior = protocol.ServerBehavior(mode="intercept",
+                                           intercept_fraction=f,
+                                           intercept_basis=basis)
+        entries, send_probs = policy.outcome_table()
+        cells = protocol.run_session(spec, psi, policy, behavior, 0,
+                                     np.random.default_rng(0)).cells
+        assert len(cells) == len(entries) * (n + 1)
+        for e, (label, vec) in enumerate(entries):
+            kind = label if isinstance(label, str) else label[0]
+            assert not cells[e * (n + 1)].intercepted
+            assert abs(cells[e * (n + 1)].q - send_probs[e] * (1 - f)) < 1e-12
+            for m in range(n):
+                cell = cells[e * (n + 1) + 1 + m]
+                assert cell.intercepted and cell.kind == kind
+                p_outcome, control = intercepted_control(vec, basis, m)
+                assert abs(cell.q - send_probs[e] * f * p_outcome) < 1e-12
+                _, p_teleport, out = state_level_round(spec, psi, control)
+                assert abs(cell.p_complete - p_teleport) < 1e-12
+                if kind == "decoy":
+                    assert cell.fidelity is None
+                    continue
+                want = (spec.combination() @ psi.data if kind == "compute"
+                        else spec.gates[label[1]] @ psi.data)
+                fidelity = abs(np.vdot(want / np.linalg.norm(want), out)) ** 2
+                assert abs(cell.fidelity - fidelity) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
+    @pytest.mark.parametrize("basis", [None, "x", "z"])
+    def test_cell_probabilities_sum_to_one(self, name, basis):
+        cells = protocol._session_law(*registry_case(name, basis))[3]
+        assert abs(sum(c.q for c in cells) - 1.0) < 1e-12
 
 
 class TestColumnarTranscript:
