@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import gates, kak, lcc, protocol, qcore, tomography
-from .qcore import DimensionMismatchError, InvalidInputError
+from .qcore import DimensionMismatchError, InvalidInputError, UnknownNameError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -83,9 +83,9 @@ def cmd_lcc(args) -> int:
     try:
         spec, input_state = lcc.spec_from_json(_read_file(args.spec),
                                                gate_registry=gates.GATES)
+    except UnknownNameError as exc:
+        raise _CliError(EXIT_UNKNOWN_NAME, str(exc)) from None
     except InvalidInputError as exc:
-        if "unknown gate name" in str(exc):
-            raise _CliError(EXIT_UNKNOWN_NAME, str(exc)) from None
         raise _CliError(EXIT_PRECONDITION, f"invalid spec: {exc}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_PARSE, f"invalid spec: {exc}") from None
@@ -238,15 +238,19 @@ def cmd_protocol(args) -> int:
     transcript = protocol.run_session(spec, input_state, policy, behavior,
                                       rounds, rng)
     analytic = protocol.success_probability_account(spec)
-    # the header reads its counts and its detection rate off the
-    # transcript, so the summary is counted once and the law built once
+    # the header reads its counts and its exact rates off the transcript,
+    # so the summary is counted once and the law built once
     completion = transcript.completed_rounds / rounds if rounds else 0.0
+    attempts = int(transcript.lcc_retries.sum())
+    per_attempt = transcript.completed_rounds / attempts if attempts else 0.0
     lines = [f"# protocol session: operation={op_name} rounds={rounds} seed={seed}",
              f"# p_compute={_fixed(policy.p_control, '.12f')} "
              f"p_decoy={_fixed(policy.p_decoy, '.12f')} "
              f"p_basis_each={_fixed(policy.p_basis, '.12f')}",
-             f"# analytic_success_probability={_fixed(analytic, '.12f')}",
-             f"# empirical_completion={_fixed(completion, '.12f')}",
+             f"# analytic_success_probability={_fixed(analytic, '.12f')} "
+             f"empirical_success_per_attempt={_fixed(per_attempt, '.12f')}",
+             f"# empirical_completion={_fixed(completion, '.12f')} "
+             f"analytic_completion={_fixed(transcript.analytic_completion, '.12f')}",
              f"# detections={transcript.detection_events} "
              f"analytic_detection_rate="
              f"{_fixed(transcript.analytic_detection_rate, '.12f')}"]

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .qcore import (ATOL_STRUCT, InvalidInputError, QuantumState, is_unitary,
-                    statevector)
+from .qcore import (ATOL_STRUCT, InvalidInputError, QuantumState,
+                    UnknownNameError, is_unitary, statevector)
 # not called here; bound so that perfbench's tracer and the tests can
 # patch them through this module
 from .qcore import apply_to_subsystems, measure_postselect  # noqa: F401
@@ -276,7 +276,7 @@ def spec_from_json(text: str, gate_registry: dict[str, np.ndarray] | None = None
     for g in doc["gates"]:
         if isinstance(g, str):
             if not gate_registry or g not in gate_registry:
-                raise InvalidInputError(f"unknown gate name {g!r}")
+                raise UnknownNameError(f"unknown gate name {g!r}")
             gates.append(gate_registry[g])
         else:
             gates.append(np.array([[complex(re, im) for re, im in row]

@@ -18,13 +18,16 @@ An intercepting server measures each control qubit in a fixed basis
 before use.  Verification states are computational-basis states, so a
 computational-basis intercept is invisible to the client; the default
 attack basis is therefore the diagonal (Hadamard) one, the simplest
-measurement that actually randomizes verify outcomes.  `run_session`
-samples the cells of one exact law, `_session_law`, and the detection
-rate sums them: it is the exact expectation of a round's ``detected``.
+measurement that actually randomizes verify outcomes.  A server that
+skips its measurement leaves the register as a z-basis intercept would.
+`_session_law`, the one model of the server, gives each (sent state,
+server outcome) cell its exact probability: `run_session` draws each
+round's cell once, and the detection rate sums the cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -180,10 +183,10 @@ class ServerBehavior:
     mode 'honest' follows the protocol; 'intercept' measures each
     incoming control register in ``intercept_basis`` ('x' by default,
     'z' for the do-nothing computational-basis variant) on a fraction
-    ``intercept_fraction`` of rounds, and the fraction acts in no other
-    mode.  'skip_measurement' is not modelled by `run_session`: its
-    transcript equals the honest one, and its effect is modelled only by
-    `cheating_server_state` and `no_cloning_witness`.
+    ``intercept_fraction`` of rounds; 'skip_measurement' keeps its EPR
+    halves unmeasured (`cheating_server_state`), which leaves the
+    register as a z-basis measurement of every control would, and
+    intercepts no round.  Fraction and basis act only in 'intercept'.
     """
 
     mode: str = "honest"
@@ -247,6 +250,11 @@ class ProtocolTranscript:
     @property
     def completed_rounds(self) -> int:
         return int(np.count_nonzero(self.completed))
+
+    @property
+    def analytic_completion(self) -> float:
+        """The probability that a round completes, read off the cells."""
+        return math.fsum(c.q * c.p_complete for c in self.cells)
 
     @property
     def analytic_detection_rate(self) -> float:
@@ -367,38 +375,31 @@ def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
     return min(p_lcc, 1.0), unit[:n], unit[n:], p_complete
 
 
-def _intercept_basis(k: int, basis: str) -> np.ndarray:
-    """The k-qubit product basis an intercepting server measures the
-    control in, one state per column."""
-    single = HADAMARD if basis == "x" else np.eye(2, dtype=complex)
-    basis_vecs = np.eye(1, dtype=complex)
-    for _ in range(k):
-        basis_vecs = np.kron(basis_vecs, single)
-    return basis_vecs
-
-
 def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
                  policy: SendPolicy, behavior: ServerBehavior
-                 ) -> tuple[float, np.ndarray, np.ndarray, tuple[_Cell, ...]]:
-    """A round's exact law: p_lcc, the `outcome_table` send probabilities,
-    the (entries, n) intercept outcome probabilities |<sent|B_m>|^2 and
-    the cells.  Entry e owns cell e*(n+1), with q = send prob (1 - f), and
+                 ) -> tuple[float, tuple[_Cell, ...]]:
+    """A round's exact law: p_lcc and the cells.  Entry e of the
+    `outcome_table` owns cell e*(n+1), with q = send prob (1 - f), and
     cell e*(n+1) + 1 + m, with q = send prob f |<sent|B_m>|^2, where f is
-    the intercept fraction when the server intercepts and 0 otherwise."""
+    the intercept fraction when the server intercepts, 1 when it skips its
+    measurement (B the z basis, and no cell intercepted), and 0 otherwise."""
     if policy.n != spec.n:
         raise qcore.DimensionMismatchError(
             f"policy dimension {policy.n} != spec term count {spec.n}")
     _check_input(spec, input_state)
     entries, send_probs = policy.outcome_table()
     sent = np.array([vec for _, vec in entries])
-    basis_vecs = _intercept_basis(spec.k, behavior.intercept_basis)
+    skip = behavior.mode == "skip_measurement"
+    # the k-qubit product basis the server measures in, one state per column
+    single = np.eye(2) if skip or behavior.intercept_basis == "z" else HADAMARD
+    basis_vecs = functools.reduce(np.kron, [single] * spec.k, np.eye(1, dtype=complex))
     # output rows: each sendable state's own, then intercept outcome m's
     p_lcc, expected, outputs, p_out = _teleport_stage(
         spec, input_state, np.concatenate([sent, basis_vecs.T]))
     target = spec.combination() @ input_state.data
     norm = np.linalg.norm(target)
     target = target / norm if norm > 1e-300 else None
-    f = behavior.intercept_fraction if behavior.mode == "intercept" else 0.0
+    f = 1.0 if skip else behavior.intercept_fraction * (behavior.mode == "intercept")
     probs = np.abs(sent @ basis_vecs.conj()) ** 2
     cells = []
     for e, (label, _) in enumerate(entries):
@@ -414,9 +415,9 @@ def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
                         else min(1.0, float(abs(np.vdot(ref, outputs[row])) ** 2)))
             q = (send_probs[e] * f * probs[e, m - 1] if m
                  else send_probs[e] * (1.0 - f))
-            cells.append(_Cell(kind, verify_index, m > 0, fidelity, float(q),
-                               float(p_out[row])))
-    return p_lcc, send_probs, probs, tuple(cells)
+            cells.append(_Cell(kind, verify_index, m > 0 and not skip, fidelity,
+                               float(q), float(p_out[row])))
+    return p_lcc, tuple(cells)
 
 
 def _detection_rate(cells) -> float:
@@ -427,34 +428,22 @@ def _detection_rate(cells) -> float:
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
                 policy: SendPolicy, behavior: ServerBehavior, rounds: int,
                 rng: np.random.Generator) -> ProtocolTranscript:
-    """Simulate a session of protocol runs: draw them from `_session_law`.
+    """Simulate a session of protocol runs: one draw per round picks its
+    (sent state, server outcome) cell from `_session_law`.
 
     Every run: the client samples what to send, the server's LCC stage
-    retries geometrically until its all-zero outcome, an intercepting
-    server measures the control, and the client's postselected control
+    retries geometrically until its all-zero outcome, the server measures
+    the control or not, and the client's postselected control
     teleportation either completes the run or fails it.  Verify rounds
     audit the output against V_i |psi> with a single-shot check.  The
     input must be a normalized statevector (within 1e-9), and the LCC
     stage's success probability S / n^2 at most 1 (see `_teleport_stage`).
     """
-    p_lcc, send_probs, probs, cells = _session_law(spec, input_state, policy,
-                                                   behavior)
-    n = spec.n
-    cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
-    # rounding must not let a draw fall past the last possible outcome
-    last = n - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
-    cdfs[np.arange(n) >= last[:, None]] = 1.0
-    idx = rng.choice(len(send_probs), size=rounds, p=send_probs)
+    p_lcc, cells = _session_law(spec, input_state, policy, behavior)
+    cell = rng.choice(len(cells), size=rounds, p=[c.q for c in cells])
     retries = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
                else np.zeros(rounds, dtype=int))
-    intercepted = (rng.random(rounds) < behavior.intercept_fraction
-                   if behavior.mode == "intercept" else np.zeros(rounds, dtype=bool))
-    u_basis, u_complete, u_detect = (rng.random(rounds) for _ in range(3))
-    cell = idx * (n + 1)
-    # an intercept outcome is the number of its CDF's entries below the
-    # draw, as np.searchsorted(cdf, u) counts them, ties included
-    rows = np.flatnonzero(intercepted)
-    cell[rows] += 1 + (cdfs[idx[rows]] < u_basis[rows, None]).sum(1)
+    u_complete, u_detect = rng.random(rounds), rng.random(rounds)
     completed = u_complete < np.array([c.p_complete for c in cells])[cell]
     # only a completed verify round is detected: when its draw exceeds F
     audit = np.array([c.fidelity if c.kind == "verify" and c.fidelity is not None
@@ -472,10 +461,10 @@ def intercept_detection_rate(spec: LinearCombinationSpec,
     It sums q p_complete (1 - F) over `_session_law`'s intercepted verify
     cells, F = |<V_i psi|out_m>|^2: compute and decoy rounds, and verify
     rounds whose V_i annihilates the input, are never detected.  Without
-    an intercepting server f = 0, so the rate is exactly 0.  A
-    transcript's ``analytic_detection_rate`` is the same sum.
+    an intercepting server no cell is intercepted, so the rate is exactly
+    0.  A transcript's ``analytic_detection_rate`` is the same sum.
     """
-    return _detection_rate(_session_law(spec, input_state, policy, behavior)[3])
+    return _detection_rate(_session_law(spec, input_state, policy, behavior)[1])
 
 
 def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,

@@ -35,6 +35,10 @@ class InvalidInputError(ValueError):
     """Input violates a documented precondition."""
 
 
+class UnknownNameError(InvalidInputError):
+    """Input names an operation that no registry holds."""
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:

@@ -63,6 +63,18 @@ class TestLccCommand:
                          .splitlines()[0])
         assert residual < 1e-12
 
+    def test_unknown_gate_name_exit_5(self, tmp_path, capsys):
+        # an unknown name exits 5; any other broken rule of the spec exits 3
+        path, r2 = tmp_path / "spec.json", 1 / math.sqrt(2)
+        for gate_names, code, err in (
+                (["A", "NOPE"], 5, "error: unknown gate name 'NOPE'\n"),
+                (["A", "B", "A"], 3, "error: invalid spec: one gate per "
+                                     "coefficient required\n")):
+            path.write_text(json.dumps({"coefficients": [[r2, 0.0], [r2, 0.0]],
+                                        "gates": gate_names}))
+            assert run(["lcc", str(path)]) == code
+            assert capsys.readouterr().err == err
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -490,39 +502,41 @@ class TestDispatch:
 # A change that moves these bytes must say so and update the digest.
 PROTOCOL_DIGESTS = {
     ("U2", "honest", None, 0.5):
-        "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
+        "35ee1a273f101b68db73d3dfdaf45c39657201cc42d493000a522425246b9f0f",
     ("U2", "intercept", "x", 0.5):
-        "82968ceb35e7b1c1d438a3a7fb064a65c7267ca58913451ac6c1dd8337078b15",
+        "78f1b17c69a08101f6c8d911c8db1a23803e031946709ce818702d1d46eddaed",
     ("U2", "intercept", "z", 0.5):
-        "576feee7801574719843046d3a508af3085a055f14ace23a5e20f28b624f5dd2",
+        "849349db2d3c9c9fb829295502e934f6173bfece4de936f73dfc7210d4ab9d39",
     ("U2", "skip_measurement", None, 0.5):
-        "c99cdc0ea07ef2c2a854d9909758920cf7b7fdf791e74f16f97eb2a70bdbc2bf",
+        "44569d09ebbf36739be0cac49cf5fe74c47430e475f9d5a39ca459eb368dd995",
     ("U4", "honest", None, 0.5):
-        "b1f99c83b466a1c30c1d65ad2f6fc831614b021ee4dce4cd2a6564d3d5b41841",
+        "974965c27b77ced85f6cfb76b24819f768b49139138fc139115379e3b51a852d",
     ("U4", "intercept", "x", 0.5):
-        "c360ab99f56db14170111baf4d635f690757f3edeafa03b5e35c004246a1485c",
+        "954f2b6b05f09682705cb09d350341706b10bb5aaf93f70f6cac19e176001002",
     ("U4", "intercept", "z", 0.5):
-        "8ec9de89a543447b8c1e7101516f96f0f5415513c89278656d68142642c47a59",
+        "880132f7a8d3b3b63d5e01d9ad362f391b1e177305f7d7bc5b4b4f4bb8dc43d2",
+    # U4's control (1, 0) is a z basis state, which the skipping
+    # server's z-basis measurement leaves as it is: its bytes are honest
     ("U4", "skip_measurement", None, 0.5):
-        "b1f99c83b466a1c30c1d65ad2f6fc831614b021ee4dce4cd2a6564d3d5b41841",
+        "974965c27b77ced85f6cfb76b24819f768b49139138fc139115379e3b51a852d",
     ("U12", "honest", None, 0.5):
-        "509459df85d464c2d31147246282159a2f7912d54bafaded4de1e3e3c39fc685",
+        "2b7c073639d3cb1e3f3d4a7efb1c10961a4d7c072f29e89a2f29d4e4892acd62",
     ("U12", "intercept", "x", 0.5):
-        "f0d54c6e08b278c3720aa2467776f93b93094a6ad545af4249ae5b9286bb8c86",
+        "f19c87801d2cfa393912ee6952916bf04811b42845fefc0ef797d3ded64a1e7a",
     ("U12", "intercept", "z", 0.5):
-        "ceef2786b2fddf6b98d588079ce4eadad80f68cb5bc9349bde180cee04ca6729",
+        "d3f0edf2b4ab39c3c3ec8945327a1cac8e94c59b42c443c3b5933bc736c9dd82",
     ("U12", "skip_measurement", None, 0.5):
-        "509459df85d464c2d31147246282159a2f7912d54bafaded4de1e3e3c39fc685",
+        "02eb933ae383d3857ef0731b06ee81e03dc7fdf316109c810f8e1071eb8505b2",
     # at epsilon = 1 a pure control's decoy has a weight of zero, which
     # rounding can leave at 5.55e-17
     ("U2", "honest", None, 1.0):
-        "d9d8612cbf2b9e58dbec86a804771646a461d045340ac82817d81bcbd0cc6cf9",
+        "78ae496928a12d9606f839edd27d9211da89dc6330b986368a4b08c58f34812f",
     ("U2", "intercept", "x", 1.0):
-        "4c13ce249d53b9dd50f51188c01fb8eaeac2ca927b4ce0bbfb7fac532870d2e3",
+        "64a08567eee24823ed2836ad4da4bb8346bc61271b73cf7be6f2fe6b2a1f83b3",
     ("U12", "honest", None, 1.0):
-        "33d5729d38dc5b3d6654b3d69e411a117e83e9356fc03d5bba8b4f3249411bb4",
+        "28ea56836476636e04b41bad37a63dd5e3d753f2c2f4c962a8de9020edc757cd",
     ("U12", "intercept", "x", 1.0):
-        "8a1a5e3c3561615cbf76384459ba19fe10f5e4859742d643c1a0d196e0714293",
+        "d8d80658978d08bd77508351c52b99ca8776e3678b8a19d53517596197e01287",
 }
 
 

@@ -678,3 +678,10 @@ class TestJsonFormat:
         doc = {"coefficients": [[1.0, 0.0], [0.0, 0.0]], "gates": ["A", "NOPE"]}
         with pytest.raises(InvalidInputError):
             spec_from_json(json.dumps(doc), gate_registry=gates.GATES)
+
+    @pytest.mark.parametrize("registry", [gates.GATES, None])
+    def test_unknown_name_has_its_own_type(self, registry):
+        # the CLI tells exit 5 from exit 3 by this type
+        doc = {"coefficients": [[R2, 0.0], [R2, 0.0]], "gates": ["A", "NOPE"]}
+        with pytest.raises(qcore.UnknownNameError, match="unknown gate name"):
+            spec_from_json(json.dumps(doc), gate_registry=registry)

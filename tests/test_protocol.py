@@ -32,40 +32,48 @@ def pure_policy(coeffs, epsilon=1.0, tau=0.5):
 def reference_session(spec, input_state, policy, behavior, rounds, rng):
     """The per-round session loop `run_session` replaced: one RoundRecord
     per round, from the same draws in the same order, with each round's
-    numbers taken from `_teleport_stage`."""
+    numbers taken from `_teleport_stage`.  One draw picks a round's sent
+    state e and server outcome: none, with probability send_probs[e]
+    (1 - f), or outcome m of its measurement in the basis B, with
+    probability send_probs[e] f |<B_m|sent_e>|^2.  A server that skips
+    its measurement measures every control in the z basis (f = 1) and
+    intercepts none."""
+    skip = behavior.mode == "skip_measurement"
+    f = (1.0 if skip else behavior.intercept_fraction
+         if behavior.mode == "intercept" else 0.0)
     entries, send_probs = policy.outcome_table()
     sent = np.array([vec for _, vec in entries])
-    basis_vecs = protocol._intercept_basis(spec.k, behavior.intercept_basis)
+    single = (np.eye(2) if skip or behavior.intercept_basis == "z"
+              else protocol.HADAMARD)
+    basis_vecs = np.eye(1, dtype=complex)
+    for _ in range(spec.k):
+        basis_vecs = np.kron(basis_vecs, single)
     p_lcc, expected, outputs, p_complete = protocol._teleport_stage(
         spec, input_state, np.concatenate([sent, basis_vecs.T]))
     target = spec.combination() @ input_state.data
     target = target / np.linalg.norm(target) if np.linalg.norm(target) > 1e-300 else None
 
-    table = []
-    for label, vec in entries:
+    # (kind, verify index, intercepted, output row) per pair
+    pairs, pair_probs = [], []
+    for e, (label, vec) in enumerate(entries):
         kind = label if isinstance(label, str) else label[0]
         verify_index = label[1] if kind == "verify" else None
-        probs = np.abs(basis_vecs.conj().T @ vec) ** 2
-        cdf = np.cumsum(probs / probs.sum())
-        table.append((kind, verify_index, cdf))
+        pairs.append((kind, verify_index, False, e))
+        pair_probs.append(send_probs[e] * (1.0 - f))
+        for m in range(spec.n):
+            pairs.append((kind, verify_index, not skip, len(entries) + m))
+            pair_probs.append(send_probs[e] * f
+                              * abs(np.vdot(basis_vecs[:, m], vec)) ** 2)
 
-    idx_arr = rng.choice(len(entries), size=rounds, p=send_probs)
+    pair_arr = rng.choice(len(pairs), size=rounds, p=pair_probs)
     retries_arr = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
                    else np.zeros(rounds, dtype=int))
-    do_intercept = behavior.mode == "intercept"
-    intercept_arr = (rng.random(rounds) < behavior.intercept_fraction
-                     if do_intercept else np.zeros(rounds, dtype=bool))
-    u_basis = rng.random(rounds)
     u_complete = rng.random(rounds)
     u_detect = rng.random(rounds)
 
     records = []
     for r in range(rounds):
-        kind, verify_index, cdf = table[idx_arr[r]]
-        intercepted = bool(intercept_arr[r])
-        # the sent state's own output row, or intercept outcome m's
-        row = (len(entries) + int(np.searchsorted(cdf, u_basis[r]))
-               if intercepted else int(idx_arr[r]))
+        kind, verify_index, intercepted, row = pairs[pair_arr[r]]
         out = outputs[row]
         completed = bool(p_lcc > 0 and out.any() and u_complete[r] < p_complete[row])
 
@@ -119,33 +127,6 @@ def reference_text(records):
     for key in sorted(s):
         lines.append(f"# {key}={s[key]!r}")
     return "\n".join(lines) + "\n"
-
-
-class TieRng:
-    """Draws from `rng`, except in the intercept draws (a session's
-    second `random` call): there each round takes a random entry of its
-    sent state's row of `cdfs` instead, where that entry is below 1."""
-
-    def __init__(self, rng, cdfs):
-        self._rng, self._cdfs, self._calls, self.ties = rng, cdfs, 0, 0
-
-    def choice(self, *args, **kwargs):
-        self._idx = self._rng.choice(*args, **kwargs)
-        return self._idx
-
-    def geometric(self, *args, **kwargs):
-        return self._rng.geometric(*args, **kwargs)
-
-    def random(self, size):
-        u = self._rng.random(size)
-        self._calls += 1
-        if self._calls == 2:
-            picked = self._cdfs[self._idx, self._rng.integers(
-                0, self._cdfs.shape[1], size)]
-            tie = picked < 1.0
-            u[tie] = picked[tie]
-            self.ties = int(tie.sum())
-        return u
 
 
 @st.composite
@@ -414,16 +395,6 @@ class TestRunSession:
                                       intercept_basis="z")
         assert protocol.intercept_detection_rate(spec, psi, pol, beh) < 1e-12
 
-    def test_skip_measurement_transcript_is_honest(self):
-        spec, psi = self.spec_and_input()
-        pol = pure_policy(spec.coefficients)
-        texts = {mode: protocol.run_session(
-                    spec, psi, pol,
-                    protocol.ServerBehavior(mode=mode, intercept_fraction=0.5),
-                    500, np.random.default_rng(15)).to_text()
-                 for mode in ("honest", "skip_measurement")}
-        assert texts["honest"] == texts["skip_measurement"]
-
     @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
     def test_z_basis_rate_not_negative(self, name):
         # the exact rate is 0; 1 - |<V_i psi|out_m>|^2 can round to -2e-16
@@ -589,12 +560,13 @@ def registry_case(name, basis):
     return spec, psi, policy, behavior
 
 
-def round_case(n, d, unitary):
+def round_case(n, d, unitary, seed=None):
     """A random n-term spec on a d-dim register, unitary terms or not,
     a random input, and a pure policy on the coefficients."""
     # non-unitary terms have S = sum_j |V_j psi|^2 != n, where a
     # completion of |w|^2 / n^2 is off by n / S
-    rng = np.random.default_rng(100 * n + 10 * d + unitary)
+    rng = np.random.default_rng(100 * n + 10 * d + unitary if seed is None
+                                else seed)
     terms = []
     for _ in range(n):
         if unitary:
@@ -719,8 +691,47 @@ class TestStateLevelRound:
     @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
     @pytest.mark.parametrize("basis", [None, "x", "z"])
     def test_cell_probabilities_sum_to_one(self, name, basis):
-        cells = protocol._session_law(*registry_case(name, basis))[3]
+        cells = protocol._session_law(*registry_case(name, basis))[1]
         assert abs(sum(c.q for c in cells) - 1.0) < 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 3]),
+           st.booleans(),
+           st.sampled_from([("honest", "x"), ("intercept", "x"),
+                            ("intercept", "z"), ("skip_measurement", "x")]),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_analytic_completion_is_one_over_n_squared(self, n, d, unitary,
+                                                       server, f, seed):
+        # the controls average to I/n, and so do their outcomes in any
+        # measured basis: a round completes with E|w|^2 / (n S), where
+        # E|w|^2 = S / n
+        spec, psi, policy = round_case(n, d, unitary, seed)
+        behavior = protocol.ServerBehavior(mode=server[0], intercept_fraction=f,
+                                           intercept_basis=server[1])
+        tr = protocol.run_session(spec, psi, policy, behavior, 0,
+                                  np.random.default_rng(0))
+        assert abs(tr.analytic_completion - 1.0 / n ** 2) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
+    def test_skip_measurement_law_matches_cheating_server(self, name):
+        # a server that skips its measurement holds
+        # alpha |0> A psi + beta |1> B psi: its register alone is what a
+        # z-basis measurement of the control leaves, so the completed
+        # compute rounds' mean fidelity is <t|rho|t>
+        spec, psi, policy, _ = registry_case(name, None)
+        cells = protocol._session_law(
+            spec, psi, policy, protocol.ServerBehavior("skip_measurement"))[1]
+        compute = [c for c in cells if c.kind == "compute"]
+        mean = (sum(c.q * c.p_complete * c.fidelity for c in compute)
+                / sum(c.q * c.p_complete for c in compute))
+        held = protocol.cheating_server_state(*spec.gates, psi,
+                                              *spec.coefficients)
+        h = held.data.reshape(2, spec.d)
+        rho = h.T @ h.conj()  # the server's qubit traced out
+        t = spec.combination() @ psi.data
+        t /= np.linalg.norm(t)
+        assert abs(mean - (t.conj() @ rho @ t).real) < 1e-12
+        assert not any(c.intercepted for c in cells)
 
 
 class TestColumnarTranscript:
@@ -765,28 +776,6 @@ class TestColumnarTranscript:
         del first["detections"]
         assert repr(tr.summary()) == want
         assert tr.to_text() == text
-
-    @pytest.mark.parametrize("basis", ["x", "z"])
-    def test_intercept_draw_ties(self, basis):
-        # intercept draws equal to entries of their round's CDF (the z
-        # basis gives flat runs at 0 and 1, the x basis steps of 1/4)
-        # pick the outcome the per-round searchsorted picks
-        spec = random_unitary_combination_spec(4, 2, np.random.default_rng(5))
-        psi = basis_state((2,), (0,))
-        policy = pure_policy(spec.coefficients, epsilon=0.3)
-        behavior = protocol.ServerBehavior(mode="intercept", intercept_fraction=1.0,
-                                           intercept_basis=basis)
-        basis_vecs = protocol._intercept_basis(spec.k, basis)
-        probs = np.array([np.abs(basis_vecs.conj().T @ vec) ** 2
-                          for _, vec in policy.outcome_table()[0]])
-        cdfs = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
-        rng = TieRng(np.random.default_rng(3), cdfs)
-        tr = protocol.run_session(spec, psi, policy, behavior, 3000, rng)
-        assert rng.ties > 1500
-        records = reference_session(spec, psi, policy, behavior, 3000,
-                                    TieRng(np.random.default_rng(3), cdfs))
-        assert list(tr.rounds) == records
-        assert tr.to_text() == reference_text(records)
 
     def test_zero_rounds_prints_only_the_summary(self):
         assert self.session(0).to_text() == (
