@@ -132,6 +132,9 @@ def _kak_report(u: np.ndarray, label: str) -> list[str]:
 
 def cmd_kak(args) -> int:
     if args.random is not None:
+        if args.matrix is not None:
+            raise _CliError(EXIT_PARSE,
+                            "kak takes a matrix file or --random N, not both")
         if args.random < 1:
             raise _CliError(EXIT_PARSE, "--random needs a positive count")
         rng = _require_seed(args)
@@ -263,7 +266,9 @@ def cmd_protocol(args) -> int:
 MAX_SHOTS = 10 ** 18
 
 # a session holds its draws and its transcript text in memory, about
-# 0.3 KB a round at its peak (0.1 KB of text), so about 3 GB at this bound
+# 0.23 KB a round at its peak (0.1 KB of text; tracemalloc at 10^5 and
+# 4 * 10^5 rounds), so about 2.3 GB at this bound; the line table of
+# `ProtocolTranscript.to_text` is freed before the text is joined
 MAX_ROUNDS = 10 ** 7
 
 
@@ -271,6 +276,9 @@ def cmd_tomography(args) -> int:
     if not 0 <= args.shots <= MAX_SHOTS:
         raise _CliError(EXIT_PARSE, f"--shots must lie between 0 and "
                                     f"{MAX_SHOTS}, got {args.shots}")
+    if args.resamples < 0:
+        raise _CliError(EXIT_PARSE, f"--resamples must be non-negative, "
+                                    f"got {args.resamples}")
     names = []
     for raw in _read_file(args.operations).splitlines():
         line = raw.strip()

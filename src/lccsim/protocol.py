@@ -36,7 +36,7 @@ import numpy as np
 
 from . import qcore
 from .lcc import LinearCombinationSpec, _check_input
-from .qcore import (HADAMARD, InvalidInputError, QuantumState,
+from .qcore import (HADAMARD, ID2, InvalidInputError, QuantumState,
                     apply_to_subsystems, basis_state, measure_postselect,
                     statevector, tensor)
 
@@ -227,6 +227,27 @@ class _Cell(NamedTuple):
     p_complete: float  # the probability that such a round completes
 
 
+# a transcript's line table may hold this many keys beyond one per round
+# (`ProtocolTranscript._line_pairs`)
+_DENSE_SLACK = 4096
+
+
+def _decimal_labels(total: int) -> list[str]:
+    """``[str(r) for r in range(total)]``, built a digit at a time: the
+    label of r >= 10 is the label of r // 10 with r's last digit
+    appended, and one string concatenation costs about two thirds of a
+    formatted integer."""
+    labels = list("0123456789"[:total])
+    start = 1  # labels[start:end] get a digit appended next
+    while len(labels) < total:
+        end = len(labels)
+        prefixes = labels[start:min(end, start + (total - end + 9) // 10)]
+        labels += [p + d for p in prefixes for d in "0123456789"]
+        start = end
+    del labels[total:]
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
     """One session stored by column: round r fell in ``cells[cell[r]]``,
@@ -282,11 +303,43 @@ class ProtocolTranscript:
             "mean_compute_fidelity": sum(comp) / len(comp) if comp else None,
         }
 
+    def _line_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (3 cell + outcome, retry count) pairs that occur, in
+        ascending order, as two arrays, and each line's index into them.
+
+        While the table of every key 3 cell + outcome and retry count
+        below top = max count + 1 is no larger than the round count plus
+        `_DENSE_SLACK`, the pairs are read off a presence table, with no
+        sort.  Larger counts (p_lcc near 0) are ranked by `np.unique`
+        first, so that the key stays below 3 cells * rounds and the
+        memory follows the round count, not the largest count.
+        """
+        outcome = 3 * self.cell + self.completed + self.detected
+        top = int(self.lcc_retries.max()) + 1 if len(self.cell) else 1
+        size = 3 * len(self.cells) * top
+        if size <= len(self.cell) + _DENSE_SLACK:
+            key = outcome * top + self.lcc_retries
+            seen = np.zeros(size, dtype=bool)
+            seen[key] = True
+            pairs = np.flatnonzero(seen)
+            index = np.empty(size, dtype=np.intp)
+            index[pairs] = np.arange(len(pairs))
+            cell_outcome, retry = np.divmod(pairs, top)
+            return cell_outcome, retry, index[key]
+        retries, rank = np.unique(self.lcc_retries, return_inverse=True)
+        pairs, keys = np.unique(outcome * len(retries) + rank,
+                                return_inverse=True)
+        cell_outcome, retry = np.divmod(pairs, len(retries))
+        return cell_outcome, retries[retry], keys
+
     def to_text(self) -> str:
         # after "round=<r>", a line is fixed by its cell, its outcome
         # (0 failed, 1 completed, 2 completed and detected) and its LCC
         # retry count: one tail per pair that occurs, ending in the next
-        # line's "round=", and one array gather picks every line's tail
+        # line's "round=", and one array gather picks every line's tail.
+        # `_line_pairs` keys the pairs with a presence table, or with a
+        # sort when the retry counts are too large for one; both give
+        # the pairs in the same order
         heads, ends = [], []
         for c in self.cells:
             vi = "-" if c.verify_index is None else c.verify_index
@@ -296,19 +349,12 @@ class ProtocolTranscript:
             ends += [" completed=0 fidelity=- detected=0\nround=",
                      f" completed=1 fidelity={fid} detected=0\nround=",
                      f" completed=1 fidelity={fid} detected=1\nround="]
-        outcome = 3 * self.cell + self.completed + self.detected
-        # rank the retry counts first, so the pair key stays below
-        # 3 * cells * rounds however large the counts are
-        retries, rank = np.unique(self.lcc_retries, return_inverse=True)
-        pairs, keys = np.unique(outcome * len(retries) + rank,
-                                return_inverse=True)
-        cell_outcome, retry = np.divmod(pairs, len(retries))
+        cell_outcome, retry, keys = self._line_pairs()
         tails = [heads[o // 3] + str(k) + ends[o] for o, k in zip(
-            cell_outcome.tolist(), retries[retry].tolist())]
+            cell_outcome.tolist(), retry.tolist())]
         total = len(self.cell)
         parts = [None] * (2 * total)
-        # f"{r}" skips the str() type call: a third faster than map(str, ...)
-        parts[::2] = [f"{r}" for r in range(total)]
+        parts[::2] = _decimal_labels(total)
         parts[1::2] = np.array(tails, dtype=object)[keys].tolist()
         if total:  # no tail precedes the first line; none follows the last
             parts[0] = "round=0"
@@ -390,9 +436,11 @@ def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
     entries, send_probs = policy.outcome_table()
     sent = np.array([vec for _, vec in entries])
     skip = behavior.mode == "skip_measurement"
-    # the k-qubit product basis the server measures in, one state per column
-    single = np.eye(2) if skip or behavior.intercept_basis == "z" else HADAMARD
-    basis_vecs = functools.reduce(np.kron, [single] * spec.k, np.eye(1, dtype=complex))
+    # the k-qubit product basis the server measures in, one state per
+    # column; with no control qubit (n = 1) it is [[1]]
+    single = ID2 if skip or behavior.intercept_basis == "z" else HADAMARD
+    basis_vecs = functools.reduce(np.kron, [single] * spec.k
+                                  or [np.eye(1, dtype=complex)])
     # output rows: each sendable state's own, then intercept outcome m's
     p_lcc, expected, outputs, p_out = _teleport_stage(
         spec, input_state, np.concatenate([sent, basis_vecs.T]))
@@ -400,7 +448,10 @@ def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
     norm = np.linalg.norm(target)
     target = target / norm if norm > 1e-300 else None
     f = 1.0 if skip else behavior.intercept_fraction * (behavior.mode == "intercept")
-    probs = np.abs(sent @ basis_vecs.conj()) ** 2
+    # the cells are filled from Python floats: the same IEEE products and
+    # powers as numpy scalars give, without a numpy scalar per operation
+    probs = (np.abs(sent @ basis_vecs.conj()) ** 2).tolist()
+    send_probs, p_out = send_probs.tolist(), p_out.tolist()
     cells = []
     for e, (label, _) in enumerate(entries):
         kind = label if isinstance(label, str) else label[0]
@@ -409,14 +460,15 @@ def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
                else target if kind == "compute" else None)
         if ref is not None and not ref.any():  # V_i annihilates the input
             ref = None
+        p_send, p_basis = send_probs[e], probs[e]
         for m, row in enumerate([e, *range(len(entries), len(entries) + spec.n)]):
-            # rounding can carry |<ref|out>|^2 just past 1
+            # rounding can carry |<ref|out>|^2 just past 1; a vdot per
+            # cell, since a batched overlap rounds differently
             fidelity = (None if ref is None
-                        else min(1.0, float(abs(np.vdot(ref, outputs[row])) ** 2)))
-            q = (send_probs[e] * f * probs[e, m - 1] if m
-                 else send_probs[e] * (1.0 - f))
+                        else min(1.0, abs(np.vdot(ref, outputs[row]).item()) ** 2))
+            q = p_send * f * p_basis[m - 1] if m else p_send * (1.0 - f)
             cells.append(_Cell(kind, verify_index, m > 0 and not skip, fidelity,
-                               float(q), float(p_out[row])))
+                               q, p_out[row]))
     return p_lcc, tuple(cells)
 
 

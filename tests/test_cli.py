@@ -208,6 +208,14 @@ class TestKakCommand:
         assert "Traceback" not in err and err.count("\n") == 1
         assert "--seed" in err
 
+    def test_matrix_file_and_random_exit_2(self, tmp_path):
+        # the file would otherwise be ignored without a word
+        path = tmp_path / "cnot.txt"
+        path.write_text(qcore.format_matrix(np.eye(4, dtype=complex)[[0, 1, 3, 2]]))
+        code, err = run_process(["--seed", "1", "kak", str(path), "--random", "2"])
+        assert code == 2
+        assert err == "error: kak takes a matrix file or --random N, not both\n"
+
 
 class TestProtocolCommand:
     def test_session_report(self, scenario_file, capsys):
@@ -446,6 +454,16 @@ class TestTomographyCommand:
             assert "Traceback" not in err
             assert err.count("\n") == 1 and "--shots" in err
 
+    @pytest.mark.parametrize("mode", [["--sampled"], []])
+    def test_negative_resamples_exit_2(self, tmp_path, mode):
+        # a negative count used to print a std of 0 as if none were asked
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        code, err = run_process(["--seed", "1", "tomography", str(ops),
+                                 "--resamples", "-1", *mode])
+        assert code == 2
+        assert err == "error: --resamples must be non-negative, got -1\n"
+
     def test_negative_seed_exit_2(self, tmp_path):
         ops = tmp_path / "ops.txt"
         ops.write_text("U2\n")
@@ -560,6 +578,25 @@ LCC_DIGESTS = {
 }
 
 
+# sha256 of `lccsim kak` stdout: for the matrix files iswap.txt, cnot.txt
+# and swap.txt (named so, in the working directory, as the report prints
+# the name), and for `--seed 3 kak --random 3`.
+# A change that moves these bytes must say so and update the digest.
+KAK_DIGESTS = {
+    "iswap": "17c8eb9e83b6b200fbc7fa775486045faee8cf68134579ad4b6abc535c48be5e",
+    "cnot": "611c575c3e21a5403b9a5b5632d01b79906062da5c4146e77c1baaa71a22ef4d",
+    "swap": "860076761977cbe2677db90e9bd315c6c1e84813328e6c39aa04a8122b062a1d",
+    "random": "37dde4a223f3d55c85d009348d0e0ab4b21f726bf606a1fe3724b1f8890ac5e1",
+}
+
+KAK_MATRICES = {
+    "iswap": np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0],
+                       [0, 0, 0, 1]]),
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "swap": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+}
+
+
 def _random_spec_text(n, d, unitary):
     rng = np.random.default_rng(n * 100 + d)
     alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -602,6 +639,20 @@ class TestDeterminism:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == PROTOCOL_DIGESTS[operation, behavior, basis,
                                           epsilon]
+
+    @pytest.mark.parametrize("name", list(KAK_DIGESTS))
+    def test_kak_bytes_pinned(self, tmp_path, capsys, monkeypatch, name):
+        if name == "random":
+            argv = ["--seed", "3", "kak", "--random", "3"]
+        else:
+            monkeypatch.chdir(tmp_path)
+            Path(f"{name}.txt").write_text(
+                qcore.format_matrix(KAK_MATRICES[name]))
+            argv = ["kak", f"{name}.txt"]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == KAK_DIGESTS[name]
 
     def test_protocol_byte_identical(self, scenario_file, tmp_path):
         a = tmp_path / "a.txt"

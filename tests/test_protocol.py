@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -759,12 +760,69 @@ class TestColumnarTranscript:
             return tr, reference_session(*args, np.random.default_rng(16))
         return tr
 
-    @pytest.mark.parametrize("lengths", [(700, 50, 5000), (5000, 50, 700)])
+    @pytest.mark.parametrize("lengths", [(700, 50, 5000), (5000, 50, 700),
+                                         (1, 0)])
     def test_lengths_in_either_order(self, lengths):
-        # no transcript's text depends on one rendered before it
+        # no transcript's text depends on one rendered before it; (1, 0)
+        # are the shortest sessions
         for rounds in lengths:
             tr, records = self.session(rounds, reference=True)
             assert tr.to_text() == reference_text(records)
+
+    def test_decimal_labels(self):
+        for total in [*range(1002), 9999, 10000, 10001, 123457]:
+            assert protocol._decimal_labels(total) == [
+                str(r) for r in range(total)]
+
+    def switch_session(self, least_rounds):
+        """A session of at least ``least_rounds`` rounds whose largest
+        retry count (top - 1, in round 0) makes its line table exactly as
+        large as `_line_pairs` keys without a sort, and that top."""
+        width = 3 * len(self.session(0).cells)
+        top = -(-(least_rounds + protocol._DENSE_SLACK) // width)
+        tr = self.session(width * top - protocol._DENSE_SLACK)
+        retries = tr.lcc_retries.copy()
+        retries[0] = top - 1
+        return dataclasses.replace(tr, lcc_retries=retries), top
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_text_at_the_table_switch(self, monkeypatch, past):
+        # without its last round the table is one key past its bound,
+        # and the sort keys the pairs instead
+        tr, _ = self.switch_session(3000)
+        if past:
+            tr = protocol.ProtocolTranscript(
+                tr.cells, tr.cell[:-1], tr.lcc_retries[:-1],
+                tr.completed[:-1], tr.detected[:-1])
+        sorts = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            sorts.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        text = tr.to_text()
+        monkeypatch.undo()
+        assert bool(sorts) == past
+        assert text == reference_text(list(tr.rounds))
+
+    @pytest.mark.parametrize("scale, bytes_per_key", [(1, 40), (10 ** 6, 80)])
+    def test_line_table_follows_the_round_count(self, scale, bytes_per_key):
+        # at its bound the presence table holds a key per round plus
+        # _DENSE_SLACK; a largest count a million times past it goes to
+        # the sort, whose memory also follows the round count
+        tr, top = self.switch_session(20000)
+        retries = tr.lcc_retries.copy()
+        retries[0] = top * scale - 1
+        tr = dataclasses.replace(tr, lcc_retries=retries)
+        tracemalloc.start()
+        try:
+            tr._line_pairs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_per_key * (len(tr.cell) + protocol._DENSE_SLACK)
 
     def test_summary_returns_a_fresh_dict(self):
         tr = self.session(300)
