@@ -79,6 +79,16 @@ def _require_seed(args) -> np.random.Generator:
     return np.random.default_rng(args.seed)
 
 
+def _checked_input(state, spec) -> qcore.QuantumState:
+    """``state``, or |0> when it is None, of the spec's gate dimension."""
+    if state is None:
+        return qcore.basis_state((spec.d,), (0,))
+    if state.total_dim != spec.d:
+        raise _CliError(EXIT_DIMENSION, f"input dimension {state.total_dim} "
+                                        f"!= gate dimension {spec.d}")
+    return state
+
+
 def cmd_lcc(args) -> int:
     try:
         spec, input_state = lcc.spec_from_json(_read_file(args.spec),
@@ -89,12 +99,7 @@ def cmd_lcc(args) -> int:
         raise _CliError(EXIT_PRECONDITION, f"invalid spec: {exc}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_PARSE, f"invalid spec: {exc}") from None
-    if input_state is None:
-        input_state = qcore.basis_state((spec.d,), (0,))
-    if input_state.total_dim != spec.d:
-        raise _CliError(EXIT_DIMENSION,
-                        f"input dimension {input_state.total_dim} != gate "
-                        f"dimension {spec.d}")
+    input_state = _checked_input(input_state, spec)
     result = lcc.run_lcc(spec, input_state)
     if not result.success:
         raise _CliError(EXIT_PRECONDITION,
@@ -116,12 +121,11 @@ def cmd_lcc(args) -> int:
 
 def _kak_report(u: np.ndarray, label: str) -> list[str]:
     dec = kak.kak_decompose(u)
-    residual = qcore.phase_aligned_distance(dec.reconstruct(), u)
     lines = [f"# kak decomposition: {label}",
              "k_vector=" + " ".join(_fixed(v) for v in dec.k_vector),
              "alphas=" + " ".join(_fmt_complex(a) for a in dec.alphas),
              f"global_phase={_fixed(dec.global_phase)}",
-             f"residual={residual:.3e}"]
+             f"residual={dec.residual:.3e}"]
     for name, m in (("u1", dec.u1), ("v1", dec.v1),
                     ("u2", dec.u2), ("v2", dec.v2)):
         lines.append(f"# local {name}")
@@ -141,9 +145,7 @@ def cmd_kak(args) -> int:
         residuals = []
         lines = [f"# kak random batch: count={args.random} seed={args.seed}"]
         for i in range(args.random):
-            u = qcore.haar_random_unitary(4, rng)
-            dec = kak.kak_decompose(u)
-            r = qcore.phase_aligned_distance(dec.reconstruct(), u)
+            r = kak.kak_decompose(qcore.haar_random_unitary(4, rng)).residual
             residuals.append(r)
             lines.append(f"sample={i} residual={r:.3e}")
         lines.append(f"max_residual={max(residuals):.3e}")
@@ -218,25 +220,16 @@ def cmd_protocol(args) -> int:
         raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {op_name!r}")
     spec = gates.combination_spec(op_name)
 
-    if amps is not None:
-        input_state = qcore.statevector(amps)
-    else:
-        input_state = qcore.basis_state((spec.d,), (0,))
-    if input_state.total_dim != spec.d:
-        raise _CliError(EXIT_DIMENSION,
-                        f"input dimension {input_state.total_dim} != gate "
-                        f"dimension {spec.d}")
+    input_state = _checked_input(
+        None if amps is None else qcore.statevector(amps), spec)
 
     control = np.array(spec.coefficients, dtype=complex)
-    try:
-        policy = protocol.SendPolicy(epsilon=epsilon, tau=tau,
-                                     control_rho=np.outer(control, control.conj()))
-        behavior = protocol.ServerBehavior(
-            mode=doc.get("behavior", "honest"),
-            intercept_fraction=intercept_fraction,
-            intercept_basis=doc.get("intercept_basis", "x"))
-    except InvalidInputError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from None
+    policy = protocol.SendPolicy(epsilon=epsilon, tau=tau,
+                                 control_rho=np.outer(control, control.conj()))
+    behavior = protocol.ServerBehavior(
+        mode=doc.get("behavior", "honest"),
+        intercept_fraction=intercept_fraction,
+        intercept_basis=doc.get("intercept_basis", "x"))
 
     transcript = protocol.run_session(spec, input_state, policy, behavior,
                                       rounds, rng)
@@ -279,6 +272,13 @@ def cmd_tomography(args) -> int:
     if args.resamples < 0:
         raise _CliError(EXIT_PARSE, f"--resamples must be non-negative, "
                                     f"got {args.resamples}")
+    analytic = args.noise == 0.0 and not args.sampled
+    if analytic and args.resamples:
+        raise _CliError(EXIT_PARSE, "--resamples needs sampled counts "
+                                    "(--sampled or --noise above 0)")
+    if args.resamples == 1:
+        raise _CliError(EXIT_PARSE, "--resamples must be 0 or at least 2, "
+                                    "got 1")
     names = []
     for raw in _read_file(args.operations).splitlines():
         line = raw.strip()
@@ -289,7 +289,6 @@ def cmd_tomography(args) -> int:
     for name in names:
         if name not in gates.GATES:
             raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {name!r}")
-    analytic = args.noise == 0.0 and not args.sampled
     rng = _require_seed(args) if not analytic else None
     lines = [f"# tomography: shots={args.shots} "
              f"noise={_fixed(args.noise, '.6f')} "
@@ -302,12 +301,10 @@ def cmd_tomography(args) -> int:
                                               analytic=analytic)
         result = tomography.reconstruct_mle(dataset)
         fid = tomography.process_fidelity(result.chi, chi_true)
-        if analytic or args.resamples < 2:
-            std = 0.0
-        else:
+        std = 0.0
+        if args.resamples:
             _, std = tomography.bootstrap_fidelity(dataset, chi_true,
-                                                   args.resamples, rng,
-                                                   max_iter=2000)
+                                                   args.resamples, rng)
         lines.append(f"{name} {_fixed(fid, '.6f')} {_fixed(std, '.6f')}")
     _emit(lines, args)
     return EXIT_OK

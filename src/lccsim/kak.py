@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,11 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class KakDecomposition:
-    """(U1 x V1) UD (U2 x V2) record with the UD expansion coefficients."""
+    """(U1 x V1) UD (U2 x V2) record with the UD expansion coefficients.
+
+    ``residual`` is the distance from ``reconstruct()`` to the input that
+    ``kak_decompose`` checked; None in a record built by hand.
+    """
 
     u1: np.ndarray
     v1: np.ndarray
@@ -67,6 +71,7 @@ class KakDecomposition:
     k_vector: tuple[float, float, float]
     alphas: np.ndarray
     global_phase: float = 0.0
+    residual: float | None = None
 
     def nonlocal_core(self) -> np.ndarray:
         """exp(-i(k1 XX + k2 YY + k3 ZZ)), exponentiated in the magic basis.
@@ -78,15 +83,12 @@ class KakDecomposition:
         phases = np.exp(-1j * (_DIAG_SIGNS[:, 1:] @ np.asarray(self.k_vector)))
         return (MAGIC * phases) @ MAGIC_DAG
 
-    def core_combination(self) -> np.ndarray:
-        a = self.alphas
-        return (a[0] * np.eye(4) + a[1] * _XX + a[2] * _YY + a[3] * _ZZ)
-
     def reconstruct(self) -> np.ndarray:
+        a = self.alphas
+        core = a[0] * np.eye(4) + a[1] * _XX + a[2] * _YY + a[3] * _ZZ
         left = np.kron(self.u1, self.v1)
         right = np.kron(self.u2, self.v2)
-        return cmath.exp(1j * self.global_phase) * (
-            left @ self.core_combination() @ right)
+        return cmath.exp(1j * self.global_phase) * (left @ core @ right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +118,9 @@ def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
     b = np.real(np.asarray(u_imag, dtype=float))
     if a.shape != (4, 4) or b.shape != (4, 4):
         raise InvalidInputError("expected real 4x4 matrices")
-    if not np.allclose(a @ b.T, (a @ b.T).T, atol=1e-9):
+    if not np.allclose(a @ b.T, (a @ b.T).T, rtol=0.0, atol=1e-9):
         raise InvalidInputError("A B^T is not symmetric: input not a unitary image")
-    if not np.allclose(a.T @ a + b.T @ b, np.eye(4), atol=1e-9):
+    if not np.allclose(a.T @ a + b.T @ b, np.eye(4), rtol=0.0, atol=1e-9):
         raise InvalidInputError("A^T A + B^T B != I: input not a unitary image")
     u = a + 1j * b
     m = u.T @ u
@@ -194,9 +196,10 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     global_phase = cmath.phase(phase) - k0
     dec = KakDecomposition(u1, v1, u2, v2, (float(k1), float(k2), float(k3)),
                            alphas, float(global_phase))
-    if qcore.phase_aligned_distance(dec.reconstruct(), u) > qcore.ATOL_ROUNDTRIP:
+    residual = qcore.phase_aligned_distance(dec.reconstruct(), u)
+    if residual > qcore.ATOL_ROUNDTRIP:
         raise DecompositionError("two-qubit decomposition failed to close")
-    return dec
+    return replace(dec, residual=residual)
 
 
 def alphas_from_k(k_vector) -> np.ndarray:

@@ -546,13 +546,13 @@ def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,
     return outcome.remainder
 
 
-def schmidt_rank(state: QuantumState, cut: int = 1, tol: float = 1e-10) -> int:
-    """Number of significant singular values across the bipartition after
-    the first ``cut`` subsystems."""
-    left = int(np.prod(state.dims[:cut]))
+def schmidt_rank(state: QuantumState) -> int:
+    """Number of singular values above 1e-10 across the bipartition after
+    the first subsystem."""
+    left = int(np.prod(state.dims[:1]))
     right = state.total_dim // left
     svals = np.linalg.svd(state.data.reshape(left, right), compute_uv=False)
-    return int(np.sum(svals > tol))
+    return int(np.sum(svals > 1e-10))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
         return False
     # entries too large to square overflow: not unitary, and no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol)
+        return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), rtol=0.0,
+                           atol=atol)
 
 
 def pauli_coefficients(op) -> np.ndarray:
@@ -138,8 +139,6 @@ class MeasurementOutcome:
     (``empty`` is then True).
     """
 
-    subsystems: tuple[int, ...]
-    labels: tuple[int, ...]
     probability: float
     remainder: QuantumState | None
 
@@ -203,9 +202,9 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
     branch = state.data.reshape(dims)[tuple(sel)].reshape(-1)
     p = float(np.vdot(branch, branch).real)
     if p <= 0.0 or math.sqrt(p) < 1e-300:
-        return MeasurementOutcome(targets, outcome, max(p, 0.0), None)
+        return MeasurementOutcome(max(p, 0.0), None)
     rem = QuantumState(rest_dims, branch / math.sqrt(p))
-    return MeasurementOutcome(targets, outcome, p, rem)
+    return MeasurementOutcome(p, rem)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -126,11 +126,7 @@ class TomographyDataset:
     counts: dict[tuple[str, str, int], float]
 
     def settings(self) -> list[tuple[str, str]]:
-        seen = []
-        for (p, b, _o) in self.counts:
-            if (p, b) not in seen:
-                seen.append((p, b))
-        return seen
+        return list(dict.fromkeys((p, b) for p, b, _o in self.counts))
 
     def total(self) -> float:
         return float(sum(self.counts.values()))
@@ -236,6 +232,8 @@ def _optimality_gap(chi: np.ndarray, grad: np.ndarray) -> float:
 
 # step halvings tried before a step is given up (a factor of about 1e-18)
 _MAX_HALVINGS = 60
+# the count-scaled optimality residual at which a fit has converged
+_GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,6 @@ class MleResult:
 
 
 def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
-                    grad_tol: float = 1e-7,
                     initial: np.ndarray | None = None) -> MleResult:
     """Maximum-likelihood chi by accelerated projected gradient ascent.
 
@@ -264,7 +261,7 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     (lambda_max(G) - Tr(G chi)) / N at the returned chi, where G is the
     log-likelihood gradient and N the total count; it bounds the
     log-likelihood's shortfall from the maximum per count.
-    ``converged`` says that it is at most ``grad_tol``, and
+    ``converged`` says that it is at most ``_GRAD_TOL`` (1e-7), and
     ``iterations`` counts the gradient steps taken (0 when the start is
     already optimal, as on noise-free analytic data).
     """
@@ -284,7 +281,7 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     y, grad_y, ll_y = chi, grad, ll
     theta, step, it = 1.0, 1.0 / total, 0
     gap = _optimality_gap(chi, grad) / total
-    while gap > grad_tol and it < max_iter:
+    while gap > _GRAD_TOL and it < max_iter:
         it += 1
         for _ in range(_MAX_HALVINGS):
             cand = _project_unit_simplex(y + step * grad_y)
@@ -315,7 +312,7 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
                 theta = 1.0  # the momentum point left the domain
         gap = _optimality_gap(chi, grad) / total
         step *= 2.0
-    return MleResult(ChiMatrix(chi), ll, it, gap, gap <= grad_tol)
+    return MleResult(ChiMatrix(chi), ll, it, gap, gap <= _GRAD_TOL)
 
 
 def process_fidelity(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lccsim
-from lccsim import cli, gates, lcc, protocol, qcore
+from lccsim import cli, gates, kak, lcc, protocol, qcore
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -182,6 +182,33 @@ class TestKakCommand:
         assert code == 3
         assert err == "error: matrix is not unitary\n"
 
+    def test_small_diagonal_defect_exit_3(self, tmp_path):
+        # within numpy's default relative tolerance of unitary, but 2e-6
+        # from it: rejected up front, not deep inside the decomposition
+        path = tmp_path / "near.txt"
+        path.write_text(qcore.format_matrix(np.diag([1 + 1e-6, 1, 1, 1])))
+        code, err = run_process(["kak", str(path)])
+        assert code == 3
+        assert err == "error: matrix is not unitary\n"
+
+    def test_prints_the_decomposition_residual(self, tmp_path, capsys):
+        u = qcore.haar_random_unitary(4, np.random.default_rng(11))
+        path = tmp_path / "haar.txt"
+        path.write_text(qcore.format_matrix(u))
+        assert run(["kak", str(path)]) == 0
+        want = kak.kak_decompose(qcore.parse_matrix(path.read_text())).residual
+        assert f"\nresidual={want:.3e}\n" in capsys.readouterr().out
+
+    def test_random_batch_prints_the_decomposition_residuals(self, capsys):
+        assert run(["--seed", "5", "kak", "--random", "4"]) == 0
+        rng = np.random.default_rng(5)
+        want = [kak.kak_decompose(qcore.haar_random_unitary(4, rng)).residual
+                for _ in range(4)]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"sample={i} residual={r:.3e}"
+                             for i, r in enumerate(want)] + [
+                                 f"max_residual={max(want):.3e}"]
+
     def test_wrong_shape_exit_4(self, tmp_path):
         path = tmp_path / "small.txt"
         path.write_text(qcore.format_matrix(np.eye(2, dtype=complex)))
@@ -265,6 +292,18 @@ class TestProtocolCommand:
             "seed": 1,
             "input_state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
         assert run(["protocol", str(path)]) == 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", -1.0), ("epsilon", 0.0), ("tau", 0.0), ("tau", 1.5)])
+    def test_invalid_policy_exit_3(self, tmp_path, field, value):
+        path = tmp_path / "policy.json"
+        doc = {"operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 5,
+               "seed": 1, field: value}
+        path.write_text(json.dumps(doc))
+        code, err = run_process(["protocol", str(path)])
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_non_numeric_epsilon_exit_2(self, tmp_path):
         path = tmp_path / "text.json"
@@ -463,6 +502,27 @@ class TestTomographyCommand:
                                  "--resamples", "-1", *mode])
         assert code == 2
         assert err == "error: --resamples must be non-negative, got -1\n"
+
+    def test_one_resample_exit_2(self, tmp_path):
+        # one resample has no spread: the std column would read 0
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        code, err = run_process(["--seed", "1", "tomography", str(ops),
+                                 "--sampled", "--shots", "200",
+                                 "--resamples", "1"])
+        assert code == 2
+        assert err == "error: --resamples must be 0 or at least 2, got 1\n"
+
+    @pytest.mark.parametrize("resamples", ["1", "2"])
+    def test_resamples_in_analytic_mode_exit_2(self, tmp_path, resamples):
+        # analytic counts are exact: there is nothing to resample
+        ops = tmp_path / "ops.txt"
+        ops.write_text("U2\n")
+        code, err = run_process(["--seed", "1", "tomography", str(ops),
+                                 "--resamples", resamples])
+        assert code == 2
+        assert err == ("error: --resamples needs sampled counts "
+                       "(--sampled or --noise above 0)\n")
 
     def test_negative_seed_exit_2(self, tmp_path):
         ops = tmp_path / "ops.txt"

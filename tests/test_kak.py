@@ -144,6 +144,23 @@ class TestKakDecompose:
         with pytest.raises((InvalidInputError, DecompositionError)):
             kak_decompose(np.ones((4, 4), dtype=complex))
 
+    def test_rejects_small_diagonal_defect(self):
+        # U^dagger U is 2e-6 from I: inside numpy's default relative
+        # tolerance, far outside the 1e-9 the check asks for
+        with pytest.raises(InvalidInputError, match="requires a 4x4 unitary"):
+            kak_decompose(np.diag([1 + 1e-6, 1, 1, 1]).astype(complex))
+
+    def test_residual_is_the_checked_distance(self):
+        rng = np.random.default_rng(2)
+        for u in (CNOT, *(haar_random_unitary(4, rng) for _ in range(20))):
+            dec = kak_decompose(u)
+            assert dec.residual == phase_aligned_distance(dec.reconstruct(), u)
+
+    def test_hand_built_record_has_no_residual(self):
+        k = (0.1, 0.2, 0.3)
+        dec = KakDecomposition(ID2, ID2, ID2, ID2, k, alphas_from_k(k))
+        assert dec.residual is None
+
 
 class TestKakRobustness:
     @pytest.mark.parametrize("eps", EPSILONS)
@@ -250,6 +267,16 @@ class TestSimultaneousSvd:
         rng = np.random.default_rng(7)
         with pytest.raises((InvalidInputError, DecompositionError)):
             simultaneous_svd(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+
+    def test_preconditions_use_an_absolute_tolerance(self):
+        # each defect is 2e-6 on an entry of size 1: within numpy's
+        # default relative tolerance, outside the absolute 1e-9
+        b = np.zeros((4, 4))
+        b[0, 1], b[1, 0] = 1.0, 1.0 + 2e-6
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            simultaneous_svd(np.eye(4), b)
+        with pytest.raises(InvalidInputError, match="A\\^T A"):
+            simultaneous_svd(np.diag([1 + 1e-6, 1, 1, 1]), np.zeros((4, 4)))
 
 
 class TestLcuSpecFromKak:

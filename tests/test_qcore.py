@@ -7,7 +7,7 @@ from conftest import random_statevector
 from lccsim.qcore import (DimensionMismatchError, HADAMARD, ID2,
                           InvalidInputError, SX, SY, SZ,
                           QuantumState, apply_to_subsystems, basis_state,
-                          format_matrix, haar_random_unitary,
+                          format_matrix, haar_random_unitary, is_unitary,
                           measure_postselect, parse_matrix,
                           phase_aligned_distance, statevector, tensor)
 
@@ -149,6 +149,14 @@ class TestHaarRandomUnitary:
     def test_zero_dim_rejected(self):
         with pytest.raises(InvalidInputError):
             haar_random_unitary(0, np.random.default_rng(0))
+
+
+class TestIsUnitary:
+    def test_honours_its_atol(self):
+        # U^dagger U is 2e-6 from I on the diagonal
+        defect = np.diag([1 + 1e-6, 1, 1, 1])
+        assert not is_unitary(defect, atol=1e-9)
+        assert is_unitary(defect, atol=1e-5)
 
 
 class TestPhaseAlignedDistance:
