@@ -44,7 +44,8 @@ class LinearCombinationSpec:
     The term count n must be a power of two (k = log2 n control qubits)
     and the coefficients must be normalized: sum |alpha_j|^2 = 1.
     Per-term unitarity is not required (black boxes allowed); the
-    ``all_unitary`` flag records whether every term is unitary.
+    ``all_unitary`` property checks, on each read, whether every term is
+    unitary.
 
     The coefficients are copied into a read-only array, and the gates
     once into the read-only (n, d, d) ``gate_stack``; ``gates`` holds
@@ -52,13 +53,17 @@ class LinearCombinationSpec:
     the read-only (n*d, d) ``circuit_matrix``, built here: its row block
     r is sum_c H[r, c] alpha_c V_c, H the Sylvester matrix of H^(x)k.  A
     block whose entries overflow holds inf or nan; the run that meets it
-    raises (see ``_run``).
+    raises (see ``_run``).  ``can_overflow`` records, once, whether a run
+    on some unit input could overflow; it is False when no real or
+    imaginary part of ``circuit_matrix`` exceeds ``_SAFE_ENTRY`` (and d
+    is below ``_SAFE_DIM``).
     """
 
     coefficients: np.ndarray
     gates: tuple[np.ndarray, ...] = field(repr=False)
     gate_stack: np.ndarray = field(init=False, repr=False)
     circuit_matrix: np.ndarray = field(init=False, repr=False)
+    can_overflow: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.array(self.coefficients, dtype=complex)
@@ -80,7 +85,11 @@ class LinearCombinationSpec:
         stack.flags.writeable = False
         object.__setattr__(self, "gate_stack", stack)
         object.__setattr__(self, "gates", tuple(stack))
-        norm = float(np.sum(np.abs(alpha) ** 2))
+        # vdot raises no floating-point warning, so 1e200 coefficients are
+        # rejected without an overflow warning first; on the real view it
+        # sums re^2 + im^2, which reads inf, never nan, when it overflows
+        parts = alpha.view(np.float64)
+        norm = float(np.vdot(parts, parts))
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(
                 f"coefficients not normalized: sum |alpha|^2 = {norm}")
@@ -93,6 +102,11 @@ class LinearCombinationSpec:
                       ).view(complex).reshape(n * d, d)
         matrix.flags.writeable = False
         object.__setattr__(self, "circuit_matrix", matrix)
+        # abs of the float64 view, not the complex modulus, which would
+        # itself overflow near 1e308; an inf or nan fails the comparison
+        peak = np.abs(matrix.view(np.float64)).max(initial=0.0)
+        object.__setattr__(self, "can_overflow",
+                           not (peak <= _SAFE_ENTRY and d < _SAFE_DIM))
 
     @property
     def n(self) -> int:
@@ -154,6 +168,14 @@ class LccRunResult:
         return QuantumState(_control_dims(n) + target_dims, amps.reshape(-1))
 
 
+# A run's rows are circuit_matrix @ psi with |psi| = 1 (to 1e-9).  If no
+# real or imaginary part of the matrix exceeds _SAFE_ENTRY, no partial sum
+# of a row entry's parts exceeds sqrt(2 d) _SAFE_ENTRY (Cauchy-Schwarz),
+# and |row 0|^2 is at most 4 d^2 _SAFE_ENTRY^2, finite for d < _SAFE_DIM.
+_SAFE_ENTRY = 1e150
+_SAFE_DIM = 4096
+
+
 @functools.cache
 def _hadamard_matrix(n: int) -> np.ndarray:
     """(n, n) real Sylvester matrix H^(x)k, entries +-1/sqrt(n).
@@ -169,11 +191,14 @@ def _hadamard_matrix(n: int) -> np.ndarray:
 
 
 def _check_input(spec: LinearCombinationSpec, input_state: QuantumState):
-    if input_state.total_dim != spec.d:
+    # len(data) is total_dim, by QuantumState's invariant
+    if len(input_state.data) != spec.d:
         raise qcore.DimensionMismatchError(
             f"input must be a {spec.d}-dim statevector")
     psi = input_state.data
-    if abs(math.sqrt(np.vdot(psi, psi).real) - 1.0) > 1e-9:
+    # the squared norm of huge amplitudes may read nan, which fails this
+    # comparison: a run's overflow bound (see _SAFE_ENTRY) needs |psi| = 1
+    if not abs(math.sqrt(np.vdot(psi, psi).real) - 1.0) <= 1e-9:
         raise InvalidInputError("input state must be normalized")
 
 
@@ -192,18 +217,26 @@ def _run(spec: LinearCombinationSpec, input_state: QuantumState,
     matvec.  Both forms return the rows; no zeroed (n, n*d) register is
     built here (see ``LccRunResult``).  A success probability that
     overflows is an error, and numpy's floating-point warnings stay off
-    stderr.
+    stderr: the matvec runs under ``np.errstate`` only for a spec whose
+    ``can_overflow`` is set, since no other spec's matvec can overflow,
+    and ``np.vdot`` warns on nothing.
     """
     _check_input(spec, input_state)
-    n, d = spec.n, spec.d
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = (spec.circuit_matrix @ input_state.data).reshape(n, d)
-        p = _finite_probability(float(np.vdot(rows[0], rows[0]).real))
+    matrix, psi = spec.circuit_matrix, input_state.data
+    if spec.can_overflow:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = matrix @ psi
+    else:
+        rows = matrix @ psi
+    d = spec.d
+    rows = rows.reshape(spec.n, d)
     rows.flags.writeable = False
+    branch = rows[0]
+    p = _finite_probability(float(np.vdot(branch, branch).real))
     # probabilities at rounding-noise scale are a vanishing combination
     if p < ATOL_STRUCT ** 2:
         return LccRunResult(False, 0.0, None, rows, input_state.dims, extended)
-    out = statevector(rows[0] / math.sqrt(p), dims=(d,))
+    out = statevector(branch / math.sqrt(p), dims=(d,))
     return LccRunResult(True, p, out, rows, input_state.dims, extended)
 
 

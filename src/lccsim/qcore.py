@@ -87,7 +87,11 @@ class QuantumState:
         data = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
-        if not np.isfinite(data).all():
+        # a finite squared norm bounds every amplitude; only a norm that is
+        # not finite (huge finite amplitudes, or an inf or nan) needs the
+        # elementwise check.  vdot raises no floating-point warning.
+        if (not math.isfinite(np.vdot(data, data).real)
+                and not np.isfinite(data).all()):
             raise InvalidInputError("state has non-finite amplitudes")
         if data.shape != (total,):
             raise DimensionMismatchError(
@@ -99,10 +103,9 @@ class QuantumState:
 
 
 def statevector(amplitudes, dims=None) -> QuantumState:
-    v = np.asarray(amplitudes, dtype=complex)
     if dims is None:
-        dims = (len(v),)
-    return QuantumState(tuple(dims), v)
+        dims = (len(amplitudes),)
+    return QuantumState(tuple(dims), amplitudes)
 
 
 def basis_state(dims, labels) -> QuantumState:
@@ -122,7 +125,9 @@ def basis_state(dims, labels) -> QuantumState:
 
 
 def tensor(*states: QuantumState) -> QuantumState:
-    """Tensor product of states."""
+    """Tensor product of one or more states."""
+    if not states:
+        raise InvalidInputError("tensor product of no states")
     out = states[0].data
     for s in states[1:]:
         out = np.kron(out, s.data)
@@ -184,7 +189,8 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
 
     Returns the branch probability and the renormalized remainder on the
     unmeasured subsystems.  A zero-probability branch is reported with
-    probability 0 and an empty remainder, not an error.
+    probability 0 and an empty remainder, not an error; a probability
+    that overflows is invalid input.
     """
     targets = tuple(int(t) for t in targets)
     outcome = tuple(int(x) for x in outcome)
@@ -201,8 +207,11 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
         sel[t] = x
     branch = state.data.reshape(dims)[tuple(sel)].reshape(-1)
     p = float(np.vdot(branch, branch).real)
-    if p <= 0.0 or math.sqrt(p) < 1e-300:
-        return MeasurementOutcome(max(p, 0.0), None)
+    if not math.isfinite(p):
+        raise InvalidInputError(
+            "the branch probability overflows: the amplitudes are too large")
+    if p <= 0.0:
+        return MeasurementOutcome(0.0, None)
     rem = QuantumState(rest_dims, branch / math.sqrt(p))
     return MeasurementOutcome(p, rem)
 

@@ -110,6 +110,15 @@ class TestLccCommand:
         code, err = run_process(["lcc", str(path)])
         assert (code, err) == (0, "")
 
+    def test_overflowing_coefficient_norm_exit_3(self, tmp_path):
+        # |1e200 (1 + i)|^2 overflows: one error line and no numpy warning
+        path = tmp_path / "spec.json"
+        path.write_text('{"coefficients": [[1e200, 1e200]], "gates": ["I"]}')
+        code, err = run_process(["lcc", str(path)])
+        assert code == 3
+        assert err == ("error: invalid spec: coefficients not normalized: "
+                       "sum |alpha|^2 = inf\n")
+
     @pytest.mark.parametrize("coefficient, entry, message", [
         ("NaN", "1", "must be finite"),
         ("0.7071067811865476", "Infinity", "must be finite"),

@@ -102,6 +102,14 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError, match="finite"):
             LinearCombinationSpec(coefficients, (ID2, gate))
 
+    def test_overflowing_norm_rejected_without_a_warning(self):
+        # |1e200 (1 + i)|^2 overflows; the spec says so and warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match=r"not normalized: sum \|alpha\|\^2 = inf"):
+                LinearCombinationSpec((1e200 + 1e200j,), (ID2,))
+
     def test_caller_arrays_copied(self):
         alpha = np.array([R2, R2], dtype=complex)
         x = SX.copy()
@@ -555,6 +563,64 @@ class TestCircuitMatrix:
                 with pytest.raises(InvalidInputError, match="overflows"):
                     form(spec, basis_state((2,), (0,)))
 
+    def test_ordinary_runs_never_enter_errstate(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        spec = random_unitary_combination_spec(8, 2, rng)
+        psi = statevector(random_statevector(2, rng))
+        assert not spec.can_overflow
+
+        def entered(**kwargs):
+            raise AssertionError("a run of an ordinary spec entered errstate")
+
+        monkeypatch.setattr(lcc.np, "errstate", entered)
+        for form in (run_lcc, run_lcc_controlled_form):
+            assert abs(form(spec, psi).success_probability - 1 / 8) < 1e-12
+
+    @pytest.mark.parametrize("alpha, gate", [
+        ((R2, R2), 1e308 * ID2),
+        ((0.5 + 0.5j, 0.5 + 0.5j), 1.5e308 * (1 + 1j) * ID2)])
+    def test_overflowing_specs_keep_errstate(self, monkeypatch, alpha, gate):
+        spec = LinearCombinationSpec(alpha, (gate, gate))
+        psi = basis_state((2,), (0,))
+        assert spec.can_overflow
+        entered, errstate = [], np.errstate
+
+        def recorded(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(lcc.np, "errstate", recorded)
+        for form in (run_lcc, run_lcc_controlled_form):
+            with pytest.raises(InvalidInputError, match="overflows"):
+                form(spec, psi)
+        assert entered == 2 * [{"over": "ignore", "invalid": "ignore"}]
+
+    # with gates (s I, s Z) the matrix holds s in its row blocks' diagonals
+    @pytest.mark.parametrize("scale, can_overflow", [
+        (1 - 1e-9, False), (1 + 1e-9, True)])
+    def test_entries_at_the_bound_run_quietly(self, scale, can_overflow):
+        entry = scale * lcc._SAFE_ENTRY
+        spec = LinearCombinationSpec((R2, R2), (entry * ID2, entry * SZ))
+        peak = np.abs(spec.circuit_matrix.view(np.float64)).max()
+        assert bool(peak <= lcc._SAFE_ENTRY) is not can_overflow
+        assert spec.can_overflow is can_overflow
+        psi = statevector([0.6, 0.8j])
+        for form in (run_lcc, run_lcc_controlled_form):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = form(spec, psi)
+            assert np.array_equal(res.rows.reshape(-1),
+                                  spec.circuit_matrix @ psi.data)
+            assert res.success
+            assert vector_phase_distance(res.output_state.data, [1, 0]) < 1e-12
+
+    def test_large_dimension_keeps_errstate(self, monkeypatch):
+        # |row 0|^2 grows with d^2, so the entry bound holds only below
+        # _SAFE_DIM
+        monkeypatch.setattr(lcc, "_SAFE_DIM", 2)
+        assert LinearCombinationSpec((1.0,), (ID2,)).can_overflow
+        assert not LinearCombinationSpec((1.0,), (np.eye(1),)).can_overflow
+
     def test_runs_do_not_rebuild_it(self, monkeypatch):
         rng = np.random.default_rng(41)
         spec = random_unitary_combination_spec(8, 2, rng)
@@ -645,6 +711,14 @@ class TestSuccessProbabilityHelper:
                 form(spec, statevector([2.0, 0.0]))
             with pytest.raises(DimensionMismatchError):
                 form(spec, basis_state((3,), (0,)))
+
+    def test_huge_input_is_not_normalized(self):
+        # vdot reads |1e200 (1 + i)|^2 as nan, which must not pass as 1
+        spec = gates.combination_spec("U2")
+        psi = statevector([1e200 + 1e200j, 0.0])
+        for form in (lcc_success_probability, run_lcc, run_lcc_controlled_form):
+            with pytest.raises(InvalidInputError, match="must be normalized"):
+                form(spec, psi)
 
     def test_overflow_raises_like_the_circuits(self):
         # |sum alpha_j V_j psi|^2 = 2e616 overflows to inf, which both

@@ -128,6 +128,20 @@ class TestMeasurePostselect:
         with pytest.raises(InvalidInputError):
             measure_postselect(basis_state((2,), (0,)), [0], (2,))
 
+    # a branch probability of 1e400 (or nan, for 1e200 (1 + i)) would
+    # leave a zero remainder
+    @pytest.mark.parametrize("amplitudes", [
+        [1e200, 1e200], [1e200 + 1e200j, 0.0]])
+    def test_overflowing_probability_is_invalid_input(self, amplitudes):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            measure_postselect(statevector(amplitudes), [0], (0,))
+
+
+class TestTensor:
+    def test_no_states_is_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            tensor()
+
 
 class TestHaarRandomUnitary:
     def test_scalar(self):
@@ -187,6 +201,22 @@ class TestStateValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             statevector(np.array([np.nan, 0.0]))
+
+    def test_huge_finite_amplitudes_accepted(self):
+        # the squared norm overflows; every amplitude is still finite
+        amplitudes = [1e200, -1e200j, 1e200 + 1e200j, 0.0]
+        assert np.array_equal(statevector(amplitudes).data, amplitudes)
+
+    @pytest.mark.parametrize("scale", [0.5, 1e200])
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+        complex(0.0, math.inf), complex(0.0, -math.inf)])
+    def test_any_non_finite_part_rejected(self, bad, index, scale):
+        data = np.full(4, scale, dtype=complex)
+        data[index] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            QuantumState((4,), data)
 
     def test_negative_dims_rejected(self):
         # prod(-2, -1) = 2 would otherwise match the data's length
