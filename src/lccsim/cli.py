@@ -172,13 +172,6 @@ def _integer(value, key: str) -> int:
     return value
 
 
-def _number(value, key: str) -> float:
-    """A scenario field that must be a JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a JSON number, got {value!r}")
-    return float(value)
-
-
 def _load_scenario(path: str) -> dict:
     try:
         doc = json.loads(_read_file(path))
@@ -199,18 +192,19 @@ def cmd_protocol(args) -> int:
         raise _CliError(EXIT_PRECONDITION, "protocol runs require a seed")
     try:
         rng = np.random.default_rng(_integer(seed, "seed"))
-        epsilon = _number(doc["epsilon"], "epsilon")
-        tau = _number(doc["tau"], "tau")
-        intercept_fraction = _number(doc.get("intercept_fraction", 0.0),
-                                     "intercept_fraction")
+        epsilon = lcc._number(doc["epsilon"], "epsilon")
+        tau = lcc._number(doc["tau"], "tau")
+        intercept_fraction = lcc._number(doc.get("intercept_fraction", 0.0),
+                                         "intercept_fraction")
         rounds = _integer(doc["rounds"], "rounds")
         if not 0 <= rounds <= MAX_ROUNDS:
             raise ValueError(f"rounds must lie between 0 and {MAX_ROUNDS}, "
                              f"got {rounds}")
         amps = None
         if "input_state" in doc:
-            amps = np.array([complex(re, im) for re, im in doc["input_state"]])
-    except (TypeError, ValueError, OverflowError) as exc:
+            amps = np.array([lcc._complex(z, "input_state amplitude")
+                             for z in doc["input_state"]])
+    except (TypeError, ValueError) as exc:
         raise _CliError(EXIT_PARSE, f"invalid scenario field: {exc}") from None
 
     op_name = doc["operation"]

@@ -76,7 +76,8 @@ def combination_spec(name: str) -> LinearCombinationSpec:
     operation on the extended circuit.
 
     Single-term entries (U4, U6) are padded with a zero-coefficient
-    identity so the term count stays a power of two.
+    identity, so every named operation runs on the same circuit: one
+    control qubit and two terms.
     """
     if name not in COMBINATIONS:
         raise InvalidInputError(f"no combination registered for {name!r}")

@@ -91,28 +91,20 @@ class KakDecomposition:
         return cmath.exp(1j * self.global_phase) * (left @ core @ right)
 
 
-@dataclass(frozen=True, eq=False)
-class MagicBasisWork:
-    """Real orthogonal L, R and the diagonals L^T A R, L^T B R."""
-
-    left: np.ndarray
-    right: np.ndarray
-    d_real: np.ndarray
-    d_imag: np.ndarray
-
-
-def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
+def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal L, R with L^T A R and L^T B R diagonal, for A + iB unitary.
 
-    Preconditions (consequences of unitarity) are asserted: A B^T must be
-    symmetric and A^T A + B^T B = I.  M = U^T U is then symmetric and
-    unitary, so Re M and Im M commute and share a real orthonormal
-    eigenbasis R, found by one ``eigh`` of cos(t) Re M + sin(t) Im M; L is
-    U R (R^T M R)^(-1/2).  A direction t merges two distinct eigenvalues
-    e^(i p), e^(i q) of M exactly when p + q = 2t (mod 2 pi), and M's six
-    eigenvalue pairs can spoil at most six directions, so one of the seven
-    in ``_EIGH_DIRECTIONS`` always separates them.  Failure is reported,
-    never silent.
+    Returns (L, R, L^T A R, L^T B R), the last two as diagonal matrices,
+    with det L = det R = +1.  Preconditions (consequences of unitarity)
+    are asserted: A B^T must be symmetric and A^T A + B^T B = I.  M = U^T U
+    is then symmetric and unitary, so Re M and Im M commute and share a
+    real orthonormal eigenbasis R, found by one ``eigh`` of cos(t) Re M +
+    sin(t) Im M; L is U R (R^T M R)^(-1/2).  A direction t merges two
+    distinct eigenvalues e^(i p), e^(i q) of M exactly when p + q = 2t
+    (mod 2 pi), and M's six eigenvalue pairs can spoil at most six
+    directions, so one of the seven in ``_EIGH_DIRECTIONS`` always
+    separates them.  Failure is reported, never silent.
     """
     a = np.real(np.asarray(u_real, dtype=float))
     b = np.real(np.asarray(u_imag, dtype=float))
@@ -130,28 +122,27 @@ def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray) -> MagicBasisWork:
         if np.abs(d2 - np.diag(np.diag(d2))).max() <= 1e-12:
             break
     left = ((u @ right) / np.sqrt(np.diag(d2))).real
+
+    # canonicalize: det L = det R = +1 via paired column flips; if the
+    # parity disagrees, one single-sided flip of R negates a column of both
+    # products, exactly (preferring the smallest diagonal entry of L^T A R,
+    # so it stays nonnegative where the parity permits)
+    if np.linalg.det(left) < 0:
+        left[:, 3] *= -1.0
+        right[:, 3] *= -1.0
     dr = left.T @ a @ right
     di = left.T @ b @ right
+    if np.linalg.det(right) < 0:
+        j = int(np.argmin(np.abs(np.diag(dr))))
+        right[:, j] *= -1.0
+        dr[:, j] *= -1.0
+        di[:, j] *= -1.0
     residual = max(np.abs(dr - np.diag(np.diag(dr))).max(),
                    np.abs(di - np.diag(np.diag(di))).max())
     if residual > 1e-8:
         raise DecompositionError(
             f"simultaneous diagonalization residual {residual:.3e}")
-
-    # canonicalize: det L = det R = +1 via paired column flips; if the
-    # parity disagrees, one single-sided flip negates a diagonal entry
-    # (preferring the smallest D_R entry so D_R stays nonnegative where
-    # the parity permits)
-    if np.linalg.det(left) < 0:
-        left[:, 3] *= -1.0
-        right[:, 3] *= -1.0
-    if np.linalg.det(right) < 0:
-        j = int(np.argmin(np.abs(np.diag(left.T @ a @ right))))
-        right[:, j] *= -1.0
-    dr = left.T @ a @ right
-    di = left.T @ b @ right
-    return MagicBasisWork(left, right, np.diag(np.diag(dr)),
-                          np.diag(np.diag(di)))
+    return left, right, np.diag(np.diag(dr)), np.diag(np.diag(di))
 
 
 def _factor_tensor_product(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +171,15 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     us = u / phase
 
     up = MAGIC_DAG @ us @ MAGIC
-    work = simultaneous_svd(np.real(up), np.imag(up))
-    d = np.diag(work.d_real) + 1j * np.diag(work.d_imag)
+    left, right, d_real, d_imag = simultaneous_svd(np.real(up), np.imag(up))
+    d = np.diag(d_real) + 1j * np.diag(d_imag)
 
     # diagonal phases are -(k0 + k . signs); solve the exact 4x4 system
     theta = np.angle(d)
     k0, k1, k2, k3 = np.linalg.solve(_DIAG_SIGNS, -theta)
 
-    left_pair = MAGIC @ work.left @ MAGIC_DAG
-    right_pair = MAGIC @ work.right.T @ MAGIC_DAG
+    left_pair = MAGIC @ left @ MAGIC_DAG
+    right_pair = MAGIC @ right.T @ MAGIC_DAG
     u1, v1 = _factor_tensor_product(left_pair)
     u2, v2 = _factor_tensor_product(right_pair)
 

@@ -47,21 +47,20 @@ class LinearCombinationSpec:
     ``all_unitary`` property checks, on each read, whether every term is
     unitary.
 
-    The coefficients are copied into a read-only array, and the gates
-    once into the read-only (n, d, d) ``gate_stack``; ``gates`` holds
-    views into it, so the two can never disagree.  Both circuit forms run
-    the read-only (n*d, d) ``circuit_matrix``, built here: its row block
-    r is sum_c H[r, c] alpha_c V_c, H the Sylvester matrix of H^(x)k.  A
-    block whose entries overflow holds inf or nan; the run that meets it
-    raises (see ``_run``).  ``can_overflow`` records, once, whether a run
-    on some unit input could overflow; it is False when no real or
-    imaginary part of ``circuit_matrix`` exceeds ``_SAFE_ENTRY`` (and d
-    is below ``_SAFE_DIM``).
+    The coefficients are copied into a read-only (n,) array and the gates
+    into one read-only (n, d, d) array ``gates``, whose items are the
+    (d, d) terms.  Both circuit forms run the read-only (n*d, d)
+    ``circuit_matrix``, built here: its row block r is sum_c H[r, c]
+    alpha_c V_c, H the Sylvester matrix of H^(x)k.  A block whose entries
+    overflow holds inf or nan; the run that meets it raises (see
+    ``_run``).  ``can_overflow`` records, once, whether a run on some
+    unit input could overflow; it is False when no real or imaginary part
+    of ``circuit_matrix`` exceeds ``_SAFE_ENTRY`` (and d is below
+    ``_SAFE_DIM``).
     """
 
     coefficients: np.ndarray
-    gates: tuple[np.ndarray, ...] = field(repr=False)
-    gate_stack: np.ndarray = field(init=False, repr=False)
+    gates: np.ndarray = field(repr=False)
     circuit_matrix: np.ndarray = field(init=False, repr=False)
     can_overflow: bool = field(init=False, repr=False)
 
@@ -83,8 +82,7 @@ class LinearCombinationSpec:
         if not (np.isfinite(alpha).all() and np.isfinite(stack).all()):
             raise InvalidInputError("coefficients and gates must be finite")
         stack.flags.writeable = False
-        object.__setattr__(self, "gate_stack", stack)
-        object.__setattr__(self, "gates", tuple(stack))
+        object.__setattr__(self, "gates", stack)
         # vdot raises no floating-point warning, so 1e200 coefficients are
         # rejected without an overflow warning first; on the real view it
         # sums re^2 + im^2, which reads inf, never nan, when it overflows
@@ -118,7 +116,7 @@ class LinearCombinationSpec:
 
     @property
     def d(self) -> int:
-        return self.gate_stack.shape[1]
+        return self.gates.shape[1]
 
     @property
     def all_unitary(self) -> bool:
@@ -300,11 +298,32 @@ def spec_to_json(spec: LinearCombinationSpec,
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+def _number(value, key: str) -> float:
+    """A JSON number within float range; ``key`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer such as 10**400
+        raise ValueError(f"{key} must lie within float range") from None
+
+
+def _complex(pair, key: str) -> complex:
+    """A JSON pair [re, im] of numbers, as ``_number`` reads each half."""
+    re, im = pair
+    return complex(_number(re, key), _number(im, key))
+
+
 def spec_from_json(text: str, gate_registry: dict[str, np.ndarray] | None = None
                    ) -> tuple[LinearCombinationSpec, QuantumState | None]:
-    """Parse a spec file; gates may be matrix literals or registry names."""
+    """Parse a spec file; gates may be matrix literals or registry names.
+
+    Every complex value is a pair [re, im] of JSON numbers; a half that
+    is not a number (``true`` is not) or lies beyond float range raises
+    ``ValueError``.
+    """
     doc = json.loads(text)
-    alpha = np.array([complex(re, im) for re, im in doc["coefficients"]])
+    alpha = np.array([_complex(z, "coefficient") for z in doc["coefficients"]])
     gates = []
     for g in doc["gates"]:
         if isinstance(g, str):
@@ -312,11 +331,11 @@ def spec_from_json(text: str, gate_registry: dict[str, np.ndarray] | None = None
                 raise UnknownNameError(f"unknown gate name {g!r}")
             gates.append(gate_registry[g])
         else:
-            gates.append(np.array([[complex(re, im) for re, im in row]
+            gates.append(np.array([[_complex(z, "gate entry") for z in row]
                                    for row in g]))
     spec = LinearCombinationSpec(alpha, tuple(gates))
     input_state = None
     if "input_state" in doc:
         input_state = statevector(
-            [complex(re, im) for re, im in doc["input_state"]])
+            [_complex(z, "input_state amplitude") for z in doc["input_state"]])
     return spec, input_state

@@ -402,7 +402,7 @@ def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
     """
     n = spec.n
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = spec.gate_stack @ input_state.data
+        terms = spec.gates @ input_state.data
         vecs = np.concatenate([terms, (controls[:, :, None] * terms).sum(1)])
         # a matmul per vector rounds |v|^2 as np.vdot does, which keeps
         # the bytes of seeded outputs

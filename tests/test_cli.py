@@ -1,15 +1,19 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lccsim
 from lccsim import cli, gates, kak, lcc, protocol, qcore
@@ -134,6 +138,35 @@ class TestLccCommand:
         assert code == 3
         assert "Traceback" not in err and "Warning" not in err
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("coefficients", 0, 1), False,
+         "coefficient must be a JSON number, got False"),
+        (("coefficients", 0, 0), 10 ** 400,
+         "coefficient must lie within float range"),
+        (("gates", 0, 0, 0, 0), True,
+         "gate entry must be a JSON number, got True"),
+        (("gates", 0, 1, 1, 0), 10 ** 400,
+         "gate entry must lie within float range"),
+        (("input_state", 0, 0), True,
+         "input_state amplitude must be a JSON number, got True"),
+        (("input_state", 1, 1), 10 ** 400,
+         "input_state amplitude must lie within float range")],
+        ids=["coefficient-false", "coefficient-huge", "gate-true", "gate-huge",
+             "input-true", "input-huge"])
+    def test_pair_half_that_is_no_float_exit_2(self, tmp_path, path, value,
+                                               message):
+        # each value replaces a 1 or a 0, so `true` and `false` would
+        # otherwise run as 1 and 0
+        r2 = 1 / math.sqrt(2)
+        doc = {"coefficients": [[r2, 0], [r2, 0]],
+               "gates": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "X"],
+               "input_state": [[1, 0], [0, 0]]}
+        _set_leaf(doc, path, value)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code, err = run_process(["lcc", str(spec)])
+        assert (code, err) == (2, f"error: invalid spec: {message}\n")
 
 
 class TestKakCommand:
@@ -403,6 +436,21 @@ class TestProtocolCommand:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "normalized" in err
 
+    @pytest.mark.parametrize("amps, message", [
+        ([[True, 0], [0, 0]], "must be a JSON number, got True"),
+        ([[1, 0], [0, False]], "must be a JSON number, got False"),
+        ([[1, 0], [10 ** 400, 0]], "must lie within float range")],
+        ids=["true", "false", "huge"])
+    def test_input_pair_half_that_is_no_float_exit_2(self, tmp_path, amps,
+                                                     message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({
+            "operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 5,
+            "seed": 1, "input_state": amps}))
+        code, err = run_process(["protocol", str(path)])
+        assert (code, err) == (2, "error: invalid scenario field: "
+                                  f"input_state amplitude {message}\n")
+
     @pytest.mark.parametrize("rounds", [cli.MAX_ROUNDS + 1, 10 ** 15])
     def test_rounds_above_bound_exit_2(self, tmp_path, monkeypatch, capsys,
                                        rounds):
@@ -556,6 +604,66 @@ class TestTomographyCommand:
                                  "--shots", "0", "--sampled"])
         assert code == 3
         assert err == "error: dataset is empty\n"
+
+
+def _set_leaf(doc, path, value):
+    """Put ``value`` at ``path``, a sequence of keys and indices, in ``doc``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _leaf_paths(node, path=()):
+    """The path of every leaf (a value that is no list or object) of ``node``."""
+    if isinstance(node, (list, dict)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+_R2 = 1 / math.sqrt(2)
+# valid inputs of each JSON reader; the scenario runs at most 50 rounds
+FUZZ_DOCS = (
+    ("lcc", json.loads(lcc.spec_to_json(gates.combination_spec("U2"),
+                                        qcore.statevector([_R2, 1j * _R2])))),
+    ("lcc", {"coefficients": [[_R2, 0], [0, _R2]], "gates": ["A", "Z"]}),
+    ("protocol", {"operation": "U12", "epsilon": 0.5, "tau": 0.5,
+                  "rounds": 50, "seed": 1, "behavior": "intercept",
+                  "intercept_fraction": 0.5, "intercept_basis": "z",
+                  "input_state": [[_R2, 0], [0, _R2]]}),
+)
+FUZZ_CASES = tuple((command, doc, path) for command, doc in FUZZ_DOCS
+                   for path in _leaf_paths(doc))
+FUZZ_VALUES = (True, None, "x", 10 ** 400, 1e308, -1, [], {})
+
+
+class TestJsonReadersFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(FUZZ_CASES), st.sampled_from(FUZZ_VALUES))
+    def test_one_replaced_leaf(self, tmp_path_factory, case, value):
+        # every outcome is a documented exit code, with one error line on
+        # stderr, no warning, and no exception out of `main`
+        command, doc, path = case
+        doc = json.loads(json.dumps(doc))
+        _set_leaf(doc, path, value)
+        file = tmp_path_factory.mktemp("fuzz") / "input.json"
+        file.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([command, str(file)])
+        assert caught == []
+        assert code in (0, 2, 3, 4, 5)
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("\n")
 
 
 class TestDispatch:

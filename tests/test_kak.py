@@ -236,15 +236,13 @@ class TestSimultaneousSvd:
     def test_pure_real_orthogonal(self):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        w = simultaneous_svd(q, np.zeros((4, 4)))
-        l, r, d_r, d_i = w.left, w.right, w.d_real, w.d_imag
+        l, r, d_r, d_i = simultaneous_svd(q, np.zeros((4, 4)))
         assert np.abs(l.T @ q @ r - d_r).max() < 1e-10
         assert np.abs(d_i).max() < 1e-10
 
     def test_magic_image_of_identity(self):
         u_prime = MAGIC.conj().T @ np.eye(4) @ MAGIC
-        w = simultaneous_svd(u_prime.real, u_prime.imag)
-        l, r, d_r, d_i = w.left, w.right, w.d_real, w.d_imag
+        l, r, d_r, d_i = simultaneous_svd(u_prime.real, u_prime.imag)
         assert np.abs(np.abs(np.diag(d_r)) - 1.0).max() < 1e-10
         assert np.abs(d_i).max() < 1e-10
 
@@ -254,8 +252,7 @@ class TestSimultaneousSvd:
             u = haar_random_unitary(4, rng)
             u = u / np.linalg.det(u) ** 0.25
             u_prime = MAGIC.conj().T @ u @ MAGIC
-            w = simultaneous_svd(u_prime.real, u_prime.imag)
-            l, r, d_r, d_i = w.left, w.right, w.d_real, w.d_imag
+            l, r, d_r, d_i = simultaneous_svd(u_prime.real, u_prime.imag)
             for mat, diag in ((u_prime.real, d_r), (u_prime.imag, d_i)):
                 res = l.T @ mat @ r - diag
                 assert np.abs(res).max() < 1e-10
@@ -306,3 +303,21 @@ class TestLcuSpecFromKak:
             assert vector_phase_distance(res.output_state.data,
                                          want / np.linalg.norm(want)) < 1e-9
             assert abs(res.success_probability - 0.25) < 1e-12
+
+
+# every library precondition of kak that no other test reaches:
+# (call, exception, message fragment)
+PRECONDITIONS = {
+    "svd-3x3": (lambda: simultaneous_svd(np.eye(3), np.zeros((3, 3))),
+                InvalidInputError, "expected real 4x4 matrices"),
+    "svd-imaginary-part-3x3": (
+        lambda: simultaneous_svd(np.eye(4), np.zeros((3, 3))),
+        InvalidInputError, "expected real 4x4 matrices"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+def test_precondition_raises(name):
+    call, error, fragment = PRECONDITIONS[name]
+    with pytest.raises(error, match=fragment):
+        call()

@@ -90,10 +90,7 @@ class TestSpecValidation:
             spec.gates[0][0, 0] = 2.0
         with pytest.raises(ValueError):
             spec.coefficients[0] = 1.0
-        assert spec.gate_stack.shape == (2, 2, 2)
-        for g, s in zip(spec.gates, spec.gate_stack):
-            assert np.shares_memory(g, spec.gate_stack)
-            assert np.array_equal(g, s)
+        assert spec.gates.shape == (2, 2, 2)
 
     @pytest.mark.parametrize("coefficients, gate", [
         ((math.nan, R2), ID2), ((R2, R2), np.diag([math.inf, 1.0])),
@@ -117,7 +114,6 @@ class TestSpecValidation:
         x[0, 0] = 5.0
         alpha[0] = 1.0
         assert np.array_equal(spec.gates[1], SX)
-        assert np.array_equal(spec.gate_stack[1], SX)
         assert np.array_equal(spec.coefficients, [R2, R2])
 
     def test_unitarity_flag(self):

@@ -1010,3 +1010,43 @@ class TestSuccessAccounting:
                                            include_input_teleport=True)
         assert abs(est - p) < 3 * math.sqrt(p * (1 - p) / trials)
 
+
+
+# every library precondition of protocol: (call, exception, message fragment)
+PRECONDITIONS = {
+    "decoy-shape": (lambda: protocol.make_decoy(np.eye(2) / 2, 4, 0.1),
+                    InvalidInputError, "control state must be 4x4"),
+    # rho = diag(1.5, -0.5) makes I - rho = diag(-0.5, 1.5)
+    "decoy-not-psd": (
+        lambda: protocol.make_decoy(np.diag([1.5, -0.5]), 2, 1.0),
+        InvalidInputError, "decoy state is not positive semidefinite"),
+    "policy-tau": (lambda: pure_policy((R2, R2), tau=1.0),
+                   InvalidInputError, r"tau must lie in \(0,1\)"),
+    "behavior-mode": (lambda: protocol.ServerBehavior(mode="lazy"),
+                      InvalidInputError, "unknown server mode 'lazy'"),
+    "behavior-fraction": (
+        lambda: protocol.ServerBehavior(mode="intercept",
+                                        intercept_fraction=1.5),
+        InvalidInputError, r"intercept fraction must lie in \[0,1\]"),
+    "behavior-basis": (
+        lambda: protocol.ServerBehavior(mode="intercept", intercept_basis="y"),
+        InvalidInputError, "intercept basis must be 'x' or 'z'"),
+    "cheating-unnormalized": (
+        lambda: protocol.cheating_server_state(A_GATE, B_GATE,
+                                               statevector([1.0, 0.0]),
+                                               1.0, 1.0),
+        InvalidInputError, "control amplitudes must be normalized"),
+    "cheating-zero-gates": (
+        lambda: protocol.cheating_server_state(np.zeros((2, 2)),
+                                               np.zeros((2, 2)),
+                                               statevector([1.0, 0.0]),
+                                               R2, R2),
+        InvalidInputError, "client postselection has zero probability"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+def test_precondition_raises(name):
+    call, error, fragment = PRECONDITIONS[name]
+    with pytest.raises(error, match=fragment):
+        call()

@@ -238,3 +238,38 @@ class TestFileFormat:
     def test_malformed_rejected(self):
         with pytest.raises((InvalidInputError, ValueError)):
             parse_matrix("1+2j nope\n")
+
+
+# every library precondition of qcore: (call, exception, message fragment)
+PRECONDITIONS = {
+    "matrix-ndim": (lambda: phase_aligned_distance(np.ones(3), np.ones(3)),
+                    InvalidInputError, "expected a matrix, got ndim=1"),
+    "matrix-non-finite": (
+        lambda: phase_aligned_distance([[math.nan]], [[1.0]]),
+        InvalidInputError, "non-finite entries"),
+    "basis-label-count": (lambda: basis_state((2, 2), (0,)),
+                          DimensionMismatchError, "one label per subsystem"),
+    "basis-label-range": (lambda: basis_state((2,), (2,)),
+                          InvalidInputError, "label 2 invalid for dimension 2"),
+    "postselect-label-count": (
+        lambda: measure_postselect(bell_state(), [0, 1], (0,)),
+        InvalidInputError, "one outcome label per target"),
+    "distance-shapes": (
+        lambda: phase_aligned_distance(np.eye(2), np.eye(3)),
+        DimensionMismatchError, "shapes differ"),
+    "parse-no-rows": (lambda: parse_matrix("# comment only\n\n"),
+                      InvalidInputError, "no matrix rows"),
+    "parse-ragged": (lambda: parse_matrix("1 0\n0\n"),
+                     InvalidInputError, "ragged matrix rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+def test_precondition_raises(name):
+    call, error, fragment = PRECONDITIONS[name]
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_non_square_matrix_is_not_unitary():
+    assert is_unitary(np.eye(2, 3)) is False

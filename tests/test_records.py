@@ -17,7 +17,6 @@ BUILDERS = {
     "LinearCombinationSpec": lambda: LinearCombinationSpec(
         (R, R), (qcore.ID2, qcore.SX)),
     "KakDecomposition": lambda: kak.kak_decompose(CNOT),
-    "MagicBasisWork": lambda: kak.simultaneous_svd(np.eye(4), np.zeros((4, 4))),
     "ChiMatrix": lambda: ChiMatrix(np.diag([1.0, 0.0, 0.0, 0.0])),
     "SendPolicy": lambda: protocol.SendPolicy(
         epsilon=1.0, tau=0.5, control_rho=np.diag([1.0, 0.0])),

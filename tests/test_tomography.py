@@ -372,3 +372,40 @@ class TestProcessFidelity:
         chi_x = tm.ideal_chi(SX)
         chi_z = tm.ideal_chi(SZ)
         assert tm.process_fidelity(chi_x, chi_z) == pytest.approx(0.0, abs=1e-12)
+
+
+# every library precondition of tomography: (call, exception, message fragment)
+PRECONDITIONS = {
+    "prep-label": (lambda: tm.prep_density("Q"),
+                   InvalidInputError, "unknown preparation 'Q'"),
+    "basis-label": (lambda: tm.basis_projectors("W"),
+                    InvalidInputError, "unknown basis 'W'"),
+    "chi-shape": (lambda: tm.ChiMatrix(np.eye(3) / 3),
+                  InvalidInputError, "chi matrix must be 4x4"),
+    "chi-hermitian": (
+        lambda: tm.ChiMatrix(np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1)),
+        InvalidInputError, "chi matrix must be Hermitian"),
+    "ideal-zero": (lambda: tm.ideal_chi(np.zeros((2, 2))),
+                   InvalidInputError, "operator is numerically zero"),
+    "depolarize-range": (lambda: tm.depolarize_chi(tm.ideal_chi(SX), 1.5),
+                         InvalidInputError, r"must lie in \[0,1\]"),
+    "sample-without-generator": (
+        lambda: tm.simulate_dataset(tm.ideal_chi(SX), 10, None),
+        InvalidInputError, "sampling requires a generator"),
+    "inversion-empty": (lambda: tm.linear_inversion(tm.TomographyDataset({})),
+                        InvalidInputError, "dataset is empty"),
+    "mle-empty": (lambda: tm.reconstruct_mle(tm.TomographyDataset({})),
+                  InvalidInputError, "dataset is empty"),
+    "bootstrap-resamples": (
+        lambda: tm.bootstrap_fidelity(
+            tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
+            tm.ideal_chi(SX), 1, np.random.default_rng(0)),
+        InvalidInputError, "need at least two resamples"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+def test_precondition_raises(name):
+    call, error, fragment = PRECONDITIONS[name]
+    with pytest.raises(error, match=fragment):
+        call()
