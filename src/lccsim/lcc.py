@@ -8,16 +8,16 @@ outcome.  In the extended circuit the controlled swaps run a second time
 after the block-diagonal sum, returning every branch to subspace 0
 before the control register is Hadamarded.
 
-Neither form builds a full-register matrix; both run one kernel.  The
-rows H^(x)k (alpha_c V_c psi) are linear in psi, so each spec compiles,
-once, the read-only (n*d, d) ``circuit_matrix`` whose row block r is
-sum_c H[r, c] alpha_c V_c, with H the (n, n) Sylvester matrix, entries
-+-1/sqrt(n); a run is then one (n*d, d) matvec.  The postselected
-all-zero branch is row 0.  The extended circuit's state is these rows in
-subspace 0 and exact zeros elsewhere (see ``run_lcc``), so a run costs
-O(n d^2) work and holds the O(n d) rows; the O(n^2 d) register is built
-only on the first read of ``pre_measurement_state``, and the O(n^2 d^2)
-compilation is paid once per spec.
+Both forms are one run with one result.  The rows H^(x)k (alpha_c V_c
+psi) are linear in psi, so each spec compiles, once, the read-only
+(n*d, d) ``circuit_matrix`` whose row block r is sum_c H[r, c] alpha_c
+V_c, with H the (n, n) Sylvester matrix, entries +-1/sqrt(n); ``run_lcc``
+is then one (n*d, d) matvec.  The postselected all-zero branch is row 0.
+The controlled form's joint state is these rows, and the extended
+form's is them in subspace 0 with exact zeros elsewhere (see
+``run_lcc``), so a run costs O(n d^2) work and holds only the O(n d)
+rows; no joint register is built.  The O(n^2 d^2) compilation is paid
+once per spec.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class LinearCombinationSpec:
     ``circuit_matrix``, built here: its row block r is sum_c H[r, c]
     alpha_c V_c, H the Sylvester matrix of H^(x)k.  A block whose entries
     overflow holds inf or nan; the run that meets it raises (see
-    ``_run``).  ``can_overflow`` records, once, whether a run on some
+    ``run_lcc``).  ``can_overflow`` records, once, whether a run on some
     unit input could overflow; it is False when no real or imaginary part
     of ``circuit_matrix`` exceeds ``_SAFE_ENTRY`` (and d is below
     ``_SAFE_DIM``).
@@ -130,40 +130,22 @@ class LinearCombinationSpec:
         return out
 
 
-def _control_dims(n: int) -> tuple[int, ...]:
-    k = n.bit_length() - 1
-    return (2,) * k if k else (1,)
-
-
 @dataclass(frozen=True, eq=False)
 class LccRunResult:
-    """One run of either circuit form, postselected on the all-zero control.
+    """One run, postselected on the all-zero control.
 
-    A run holds the read-only (n, d) rows H^(x)k (alpha_c V_c psi), O(n d),
-    with the input's dims and which form ran.  The joint state before the
-    control measurement is built from them on the first read of
-    ``pre_measurement_state`` and cached: the rows themselves (controlled
-    form), or the rows in column block 0 of a zeroed (n, n*d) register
-    (extended form), O(n^2 d).
+    ``rows`` is the read-only (n, d) array H^(x)k (alpha_c V_c psi), whose
+    row 0 is the postselected branch; ``output_state`` is that branch
+    normalized, or None when the combination vanishes.
     """
 
-    success: bool
     success_probability: float
     output_state: QuantumState | None
     rows: np.ndarray = field(repr=False)
-    input_dims: tuple[int, ...]
-    extended: bool
 
-    @functools.cached_property
-    def pre_measurement_state(self) -> QuantumState:
-        n, d = self.rows.shape
-        if self.extended:
-            amps = np.zeros((n, n * d), dtype=complex)
-            amps[:, :d] = self.rows
-            target_dims = (n * d,)
-        else:
-            amps, target_dims = self.rows, self.input_dims
-        return QuantumState(_control_dims(n) + target_dims, amps.reshape(-1))
+    @property
+    def success(self) -> bool:
+        return self.output_state is not None
 
 
 # A run's rows are circuit_matrix @ psi with |psi| = 1 (to 1e-9).  If no
@@ -207,17 +189,33 @@ def _finite_probability(p: float) -> float:
     return p
 
 
-def _run(spec: LinearCombinationSpec, input_state: QuantumState,
-         extended: bool) -> LccRunResult:
-    """Both circuit forms: the rows H^(x)k (alpha_c V_c psi), postselected.
+def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
+    """The linear-combination circuit, postselected on the all-zero control.
+
+    On the all-zero control outcome the output is the normalized
+    combination sum_j alpha_j V_j |psi>.  With a unitary combination the
+    success probability is exactly 1/n.  A vanishing combination is
+    reported as a degenerate never-succeeding postselection.
+
+    One run serves both circuit forms.  The controlled form's state
+    before the control measurement is the rows H^(x)k (alpha_c V_c psi).
+    The extended circuit's is exact yet touches only n of the n^2
+    (control c, subspace s) blocks of the (n*d)-dim target.  The input
+    starts in subspace 0, so the first controlled swap moves control c's
+    branch alpha_c psi to block (c, c); the block-diagonal sum applies
+    V_c there; the second swap (swaps are involutory) brings alpha_c V_c
+    psi back to (c, 0).  Every other amplitude is exactly 0 at every
+    step, and the Hadamards mix control rows, not subspaces, so the
+    result is the same rows in subspace 0 and zeros elsewhere.  The
+    postselected branch thus lies entirely in subspace 0: sqrt(p) is its
+    norm, and the output is the branch over sqrt(p).
 
     The rows are the spec's ``circuit_matrix`` applied to psi, one
-    matvec.  Both forms return the rows; no zeroed (n, n*d) register is
-    built here (see ``LccRunResult``).  A success probability that
-    overflows is an error, and numpy's floating-point warnings stay off
-    stderr: the matvec runs under ``np.errstate`` only for a spec whose
-    ``can_overflow`` is set, since no other spec's matvec can overflow,
-    and ``np.vdot`` warns on nothing.
+    matvec.  A success probability that overflows is an error, and
+    numpy's floating-point warnings stay off stderr: the matvec runs
+    under ``np.errstate`` only for a spec whose ``can_overflow`` is set,
+    since no other spec's matvec can overflow, and ``np.vdot`` warns on
+    nothing.
     """
     _check_input(spec, input_state)
     matrix, psi = spec.circuit_matrix, input_state.data
@@ -226,49 +224,25 @@ def _run(spec: LinearCombinationSpec, input_state: QuantumState,
             rows = matrix @ psi
     else:
         rows = matrix @ psi
-    d = spec.d
-    rows = rows.reshape(spec.n, d)
+    rows = rows.reshape(spec.n, spec.d)
     rows.flags.writeable = False
     branch = rows[0]
     p = _finite_probability(float(np.vdot(branch, branch).real))
     # probabilities at rounding-noise scale are a vanishing combination
     if p < ATOL_STRUCT ** 2:
-        return LccRunResult(False, 0.0, None, rows, input_state.dims, extended)
-    out = statevector(branch / math.sqrt(p), dims=(d,))
-    return LccRunResult(True, p, out, rows, input_state.dims, extended)
-
-
-def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunResult:
-    """Extended-target circuit: controlled swaps, sum operation, Hadamards.
-
-    On the all-zero control outcome the output is the normalized
-    combination sum_j alpha_j V_j |psi>.  With a unitary combination the
-    success probability is exactly 1/n.  A vanishing combination is
-    reported as a degenerate never-succeeding postselection.
-
-    The simulation is exact yet touches only n of the n^2 (control c,
-    subspace s) blocks of the (n*d)-dim target.  The input starts in
-    subspace 0, so the first controlled swap moves control c's branch
-    alpha_c psi to block (c, c); the block-diagonal sum applies V_c
-    there; the second swap (swaps are involutory) brings alpha_c V_c psi
-    back to (c, 0).  Every other amplitude is exactly 0 at every step,
-    and the Hadamards mix control rows, not subspaces, so the result is
-    the controlled form's rows in subspace 0 and zeros elsewhere.  The
-    postselected branch thus lies entirely in subspace 0: sqrt(p) is its
-    norm, and the output is the branch over sqrt(p).  The run holds only
-    the rows; the zeroed (n, n*d) register is built on the first read of
-    ``pre_measurement_state``.
-    """
-    return _run(spec, input_state, extended=True)
+        return LccRunResult(0.0, None, rows)
+    return LccRunResult(p, statevector(branch / math.sqrt(p), dims=(spec.d,)),
+                        rows)
 
 
 def run_lcc_controlled_form(spec: LinearCombinationSpec,
                             input_state: QuantumState) -> LccRunResult:
-    """Controlled-gate circuit: sum_j |j><j| (x) V_j, then Hadamards.
+    """The controlled-gate circuit: the same run as ``run_lcc``.
 
-    Agrees with run_lcc on output state and success probability.
+    It remains because perfbench/workloads.py calls it; deleting it waits
+    for the benchmark change of ROADMAP item 11.
     """
-    return _run(spec, input_state, extended=False)
+    return run_lcc(spec, input_state)
 
 
 def lcc_success_probability(spec: LinearCombinationSpec,

@@ -66,7 +66,7 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
 
     Mixing the control with its decoy at odds eps : 1 yields the
     maximally mixed state, hiding the control from the server.  Any
-    eps > 0 is valid for n = 1, where the decoy is [[1]].
+    finite eps > 0 is valid for n = 1, where the decoy is [[1]].
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
@@ -74,6 +74,8 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
     if n == 1:
         if not epsilon > 0.0:
             raise InvalidInputError("epsilon must be positive")
+        if epsilon == math.inf:
+            raise InvalidInputError("epsilon must be finite")
     elif not (0.0 < epsilon <= 1.0 / (n - 1)):
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
@@ -139,13 +141,15 @@ class SendPolicy:
         decoy ((1+eps)/n) I - eps rho has rho's eigenvectors, with
         weights (1+eps)/n - eps lambda, listed in ascending weight.  A
         weight at rounding-noise scale is zero, and a zero-weight state
-        is not listed.
+        is not listed.  At n = 1 the decoy is [[1]], of weight 1 for any
+        eps, where the formula would read (1+eps) - eps = 0 at eps = 1e16.
         """
         entries = []
         probs = []
         lam, vecs = np.linalg.eigh(self.control_rho)
         # lambda ascends, so the decoy weights ascend in reverse order
-        decoy = (1.0 + self.epsilon) / self.n - self.epsilon * lam[::-1]
+        decoy = (np.ones(1) if self.n == 1 else
+                 (1.0 + self.epsilon) / self.n - self.epsilon * lam[::-1])
         for kind, p_kind, weights, states in (
                 ("compute", self.p_control, lam, vecs.T),
                 ("decoy", self.p_decoy, decoy, vecs.T[::-1])):
@@ -489,8 +493,11 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     teleportation either completes the run or fails it.  Verify rounds
     audit the output against V_i |psi> with a single-shot check.  The
     input must be a normalized statevector (within 1e-9), and the LCC
-    stage's success probability S / n^2 at most 1 (see `_teleport_stage`).
+    stage's success probability S / n^2 at most 1 (see `_teleport_stage`),
+    and ``rounds`` at least 0.
     """
+    if rounds < 0:
+        raise InvalidInputError(f"rounds must be at least 0, got {rounds}")
     p_lcc, cells = _session_law(spec, input_state, policy, behavior)
     cell = rng.choice(len(cells), size=rounds, p=[c.q for c in cells])
     retries = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
@@ -575,7 +582,8 @@ class WitnessReport:
 
 def no_cloning_witness(a_gate: np.ndarray, b_gate: np.ndarray,
                        phi: QuantumState, control_1, control_2) -> WitnessReport:
-    """Compare overlaps of held vs required states for two control choices."""
+    """Compare overlaps of held vs required states for two control choices,
+    each a pair of amplitudes."""
     def held(c):
         return cheating_server_state(a_gate, b_gate, phi, c[0], c[1]).data
 
@@ -590,6 +598,8 @@ def no_cloning_witness(a_gate: np.ndarray, b_gate: np.ndarray,
 
     c1 = np.asarray(control_1, dtype=complex)
     c2 = np.asarray(control_2, dtype=complex)
+    if c1.shape != (2,) or c2.shape != (2,):
+        raise InvalidInputError("each control must be a pair of amplitudes")
     obs = abs(np.vdot(held(c1), held(c2)))
     exp = abs(np.vdot(required(c1), required(c2)))
     vacuous = bool(abs(np.vdot(c1, c2)) < 1e-12)
@@ -638,6 +648,9 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
 def verify_decoy_identity(rho: np.ndarray, epsilon: float, tau: float | None = None
                           ) -> float:
     """Max deviation of the decoy (and optional verify-state) mixture from I/n."""
+    rho = np.asarray(rho)
+    if rho.ndim != 2:
+        raise InvalidInputError("control state must be a matrix")
     n = rho.shape[0]
     rho_m = make_decoy(rho, n, epsilon)
     mix = (epsilon / (1 + epsilon)) * rho + (1 / (1 + epsilon)) * rho_m

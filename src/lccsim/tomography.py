@@ -141,8 +141,10 @@ def simulate_dataset(chi: ChiMatrix, shots: int, rng: np.random.Generator | None
     analytic mode), mirroring coincidence counting.  For a
     trace-preserving process a setting's two rates sum to 1; for a
     postselected one they scale with that preparation's detection
-    probability.
+    probability.  ``shots`` must be at least 0.
     """
+    if shots < 0:
+        raise InvalidInputError(f"shots must be at least 0, got {shots}")
     rates = np.trace(chi.data @ _C_TABLE, axis1=1, axis2=2).real
     drawn = shots * np.clip(rates, 0.0, None)
     if not analytic:

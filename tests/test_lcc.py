@@ -51,6 +51,18 @@ def sum_operation(spec):
     return out
 
 
+def register_layout(rows, extended):
+    """The joint state before the control measurement, as an array: the
+    (n, d) rows in column block 0 of a zeroed (n, n*d) array (extended
+    circuit), or the rows as they are (controlled-gate circuit)."""
+    if not extended:
+        return rows
+    n, d = rows.shape
+    amps = np.zeros((n, n * d), dtype=complex)
+    amps[:, :d] = rows
+    return amps
+
+
 def embed_input(spec, input_state):
     """Extended target state: input amplitudes on subspace 0, zeros elsewhere."""
     ext = np.zeros(spec.n * spec.d, dtype=complex)
@@ -296,7 +308,7 @@ def dense_run_controlled_form(spec, psi):
 VANISHING = LinearCombinationSpec((R2, -R2), (ID2, ID2))
 
 
-def check_vanishing(form, dense):
+def check_vanishing(form, dense, extended):
     psi = random_statevector(2, np.random.default_rng(14))
     pre, p, _ = dense(VANISHING, psi)
     res = form(VANISHING, statevector(psi))
@@ -304,7 +316,8 @@ def check_vanishing(form, dense):
     assert not res.success
     assert res.success_probability == 0.0
     assert res.output_state is None
-    assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+    assert np.abs(register_layout(res.rows, extended).reshape(-1)
+                  - pre).max() < 1e-12
 
 
 class TestRunLccMatchesDenseCircuit:
@@ -319,15 +332,15 @@ class TestRunLccMatchesDenseCircuit:
         psi = random_statevector(d, rng)
         pre, p, out = dense_run_lcc(spec, psi)
         res = run_lcc(spec, statevector(psi))
-        assert (res.pre_measurement_state.dims
-                == build_control_state(spec).dims + (n * d,))
-        assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+        amps = register_layout(res.rows, extended=True)
+        assert amps.shape == (n, n * d)
+        assert np.abs(amps.reshape(-1) - pre).max() < 1e-12
         assert res.success
         assert abs(res.success_probability - p) < 1e-12
         assert np.abs(res.output_state.data - out).max() < 1e-12
 
     def test_vanishing_combination(self):
-        check_vanishing(run_lcc, dense_run_lcc)
+        check_vanishing(run_lcc, dense_run_lcc, extended=True)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 128])
     def test_only_subspace_zero_is_nonzero(self, n):
@@ -339,7 +352,7 @@ class TestRunLccMatchesDenseCircuit:
             alpha / np.linalg.norm(alpha),
             tuple(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))))
         res = run_lcc(spec, statevector(random_statevector(d, rng)))
-        amps = res.pre_measurement_state.data.reshape(n, n, d)
+        amps = register_layout(res.rows, extended=True).reshape(n, n, d)
         assert np.all(amps[:, 1:] == 0.0)
         assert np.all(amps[:, 0] != 0.0)
         assert res.success_probability == float(
@@ -358,15 +371,16 @@ class TestControlledFormMatchesDenseCircuit:
         psi = random_statevector(d, rng)
         pre, p, out = dense_run_controlled_form(spec, psi)
         res = run_lcc_controlled_form(spec, statevector(psi))
-        assert (res.pre_measurement_state.dims
-                == build_control_state(spec).dims + (d,))
-        assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+        amps = register_layout(res.rows, extended=False)
+        assert amps.shape == (n, d)
+        assert np.abs(amps.reshape(-1) - pre).max() < 1e-12
         assert res.success
         assert abs(res.success_probability - p) < 1e-12
         assert np.abs(res.output_state.data - out).max() < 1e-12
 
     def test_vanishing_combination(self):
-        check_vanishing(run_lcc_controlled_form, dense_run_controlled_form)
+        check_vanishing(run_lcc_controlled_form, dense_run_controlled_form,
+                        extended=False)
 
 
 class TestArrayPath:
@@ -402,8 +416,9 @@ class TestRunLccAtScale:
         finally:
             tracemalloc.stop()
         # one dense (n^2 d)^2 controlled swap would need about 17 GB; the
-        # state itself is 512 kB, and the circuit holds one of it
-        assert peak < 2 * res.pre_measurement_state.data.nbytes
+        # extended register is n^2 d * 16 bytes = 512 kB, and the run holds
+        # less than twice that
+        assert peak < 2 * 16 * n * n * d
         direct = sum(a * g for a, g in zip(spec.coefficients, spec.gates)) @ psi.data
         assert abs(res.success_probability - 1.0 / n) < 1e-12
         assert abs(res.success_probability
@@ -427,10 +442,9 @@ class TestRunLccAtScale:
             tracemalloc.stop()
         # the (n, n*d) register alone is n^2 d * 16 bytes = 2 MiB
         assert peak < 8 * n * d * 16
-        state = res.pre_measurement_state
-        assert res.pre_measurement_state is state
         pre, _, _ = blockwise_reference(spec, psi, extended=True)
-        assert np.abs(state.data - pre).max() < 1e-12
+        assert np.abs(register_layout(res.rows, extended=True).reshape(-1)
+                      - pre).max() < 1e-12
 
 
 def blockwise_reference(spec, psi, extended):
@@ -481,7 +495,8 @@ class TestKernels:
         for form, extended in ((run_lcc, True), (run_lcc_controlled_form, False)):
             pre, p, out = blockwise_reference(spec, psi, extended)
             res = form(spec, statevector(psi))
-            assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+            assert np.abs(register_layout(res.rows, extended).reshape(-1)
+                          - pre).max() < 1e-12
             assert abs(res.success_probability - p) < 1e-12
             assert np.abs(res.output_state.data - out).max() < 1e-12
 
@@ -500,7 +515,7 @@ class TestKernels:
             "    psi = lcc.statevector(np.eye(d)[0])\n"
             "    for form in (lcc.run_lcc, lcc.run_lcc_controlled_form):\n"
             "        res = form(spec, psi)\n"
-            "        h.update(res.pre_measurement_state.data.tobytes())\n"
+            "        h.update(res.rows.tobytes())\n"
             "        h.update(repr(res.success_probability).encode())\n"
             "print(h.hexdigest())\n")
         src = Path(__file__).resolve().parent.parent / "src"
@@ -629,11 +644,24 @@ class TestCircuitMatrix:
         for form, extended in ((run_lcc, True), (run_lcc_controlled_form, False)):
             pre, p, out = blockwise_reference(spec, psi, extended)
             res = form(spec, statevector(psi))
-            assert np.abs(res.pre_measurement_state.data - pre).max() < 1e-12
+            assert np.abs(register_layout(res.rows, extended).reshape(-1)
+                          - pre).max() < 1e-12
             assert abs(res.success_probability - p) < 1e-12
 
 
 class TestControlledForm:
+    def test_returns_run_lccs_rows_bitwise(self):
+        rng = np.random.default_rng(60)
+        for n, d in ((1, 2), (4, 3), (32, 2)):
+            spec = random_unitary_combination_spec(n, d, rng)
+            psi = statevector(random_statevector(d, rng))
+            a = run_lcc(spec, psi)
+            b = run_lcc_controlled_form(spec, psi)
+            assert a.rows.tobytes() == b.rows.tobytes()
+            assert a.success_probability == b.success_probability
+            assert (a.output_state.data.tobytes()
+                    == b.output_state.data.tobytes())
+
     def test_matches_extended_circuit(self):
         rng = np.random.default_rng(6)
         for n, d in ((2, 2), (4, 2), (2, 4), (8, 2)):

@@ -256,6 +256,22 @@ class TestMakeDecoy:
             with pytest.raises(InvalidInputError, match="positive"):
                 protocol.make_decoy(rho, 1, eps)
 
+    def test_one_term_decoy_keeps_its_weight_at_a_huge_epsilon(self):
+        # (1 + 1e16) - 1e16 rounds to 0, yet the decoy [[1]] has weight 1
+        pol = protocol.SendPolicy(1e16, 0.5, np.eye(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries, probs = pol.outcome_table()
+        assert [kind for kind, _ in entries] == ["compute", "decoy",
+                                                 ("verify", 0)]
+        assert probs[1] == pol.p_decoy
+        assert abs(probs.sum() - 1.0) < 1e-12
+
+    def test_identity_reads_a_nested_list(self):
+        rho = [[0.5, 0.0], [0.0, 0.5]]
+        assert (protocol.verify_decoy_identity(rho, 0.5)
+                == protocol.verify_decoy_identity(np.array(rho), 0.5))
+
 
 class TestSendPolicy:
     def test_probability_split(self):
@@ -1042,6 +1058,27 @@ PRECONDITIONS = {
                                                statevector([1.0, 0.0]),
                                                R2, R2),
         InvalidInputError, "client postselection has zero probability"),
+    "policy-epsilon-infinite": (lambda: pure_policy((1.0,), epsilon=math.inf),
+                                InvalidInputError, "epsilon must be finite"),
+    "session-negative-rounds": (
+        lambda: protocol.run_session(
+            gates.combination_spec("U2"), basis_state((2,), (0,)),
+            pure_policy((R2, R2)), protocol.ServerBehavior(), -1,
+            np.random.default_rng(0)),
+        InvalidInputError, "rounds must be at least 0, got -1"),
+    "witness-control-of-3": (
+        lambda: protocol.no_cloning_witness(A_GATE, B_GATE,
+                                            statevector([1.0, 0.0]),
+                                            [1, 0, 0], [0, 1]),
+        InvalidInputError, "each control must be a pair of amplitudes"),
+    "witness-control-of-1": (
+        lambda: protocol.no_cloning_witness(A_GATE, B_GATE,
+                                            statevector([1.0, 0.0]),
+                                            [0, 1], [1]),
+        InvalidInputError, "each control must be a pair of amplitudes"),
+    "decoy-identity-not-a-matrix": (
+        lambda: protocol.verify_decoy_identity([0.5, 0.5], 0.5),
+        InvalidInputError, "control state must be a matrix"),
 }
 
 

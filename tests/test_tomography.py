@@ -401,6 +401,13 @@ PRECONDITIONS = {
             tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
             tm.ideal_chi(SX), 1, np.random.default_rng(0)),
         InvalidInputError, "need at least two resamples"),
+    "shots-negative-analytic": (
+        lambda: tm.simulate_dataset(tm.ideal_chi(SX), -1, None, analytic=True),
+        InvalidInputError, "shots must be at least 0, got -1"),
+    "shots-negative-sampled": (
+        lambda: tm.simulate_dataset(tm.ideal_chi(SX), -1,
+                                    np.random.default_rng(0)),
+        InvalidInputError, "shots must be at least 0, got -1"),
 }
 
 
