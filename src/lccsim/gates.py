@@ -14,6 +14,7 @@ stored in closed form so normalization holds to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -71,13 +72,15 @@ def gate(name: str) -> np.ndarray:
         raise InvalidInputError(f"unknown operation name {name!r}") from None
 
 
+@functools.cache
 def combination_spec(name: str) -> LinearCombinationSpec:
     """Two-term (or padded) linear-combination spec realizing a named
     operation on the extended circuit.
 
     Single-term entries (U4, U6) are padded with a zero-coefficient
     identity, so every named operation runs on the same circuit: one
-    control qubit and two terms.
+    control qubit and two terms.  A spec is frozen and its arrays are
+    read-only, so each name's spec is built once per process and shared.
     """
     if name not in COMBINATIONS:
         raise InvalidInputError(f"no combination registered for {name!r}")

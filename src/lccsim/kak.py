@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qcore
 from .lcc import LinearCombinationSpec
-from .qcore import SX, SY, SZ, InvalidInputError, is_unitary
+from .qcore import SX, SY, SZ, InvalidInputError, allclose_atol, is_unitary
 
 # Fixed magic-basis matrix: maps the Bell-like basis so that SU(2)xSU(2)
 # conjugates into SO(4).
@@ -110,9 +110,10 @@ def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray
     b = np.real(np.asarray(u_imag, dtype=float))
     if a.shape != (4, 4) or b.shape != (4, 4):
         raise InvalidInputError("expected real 4x4 matrices")
-    if not np.allclose(a @ b.T, (a @ b.T).T, rtol=0.0, atol=1e-9):
+    ab = a @ b.T
+    if not allclose_atol(ab, ab.T, 1e-9):
         raise InvalidInputError("A B^T is not symmetric: input not a unitary image")
-    if not np.allclose(a.T @ a + b.T @ b, np.eye(4), rtol=0.0, atol=1e-9):
+    if not allclose_atol(a.T @ a + b.T @ b, np.eye(4), 1e-9):
         raise InvalidInputError("A^T A + B^T B != I: input not a unitary image")
     u = a + 1j * b
     m = u.T @ u

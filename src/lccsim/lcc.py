@@ -155,6 +155,10 @@ class LccRunResult:
 _SAFE_ENTRY = 1e150
 _SAFE_DIM = 4096
 
+# A success probability below this is rounding noise: the combination
+# vanishes.
+_VANISHING = ATOL_STRUCT ** 2
+
 
 @functools.cache
 def _hadamard_matrix(n: int) -> np.ndarray:
@@ -218,21 +222,21 @@ def run_lcc(spec: LinearCombinationSpec, input_state: QuantumState) -> LccRunRes
     nothing.
     """
     _check_input(spec, input_state)
-    matrix, psi = spec.circuit_matrix, input_state.data
+    matrix, psi, d = spec.circuit_matrix, input_state.data, spec.d
     if spec.can_overflow:
         with np.errstate(over="ignore", invalid="ignore"):
             rows = matrix @ psi
     else:
         rows = matrix @ psi
-    rows = rows.reshape(spec.n, spec.d)
-    rows.flags.writeable = False
+    # d >= 1 here: _check_input refuses every input when d = 0, since an
+    # empty vector cannot have unit norm
+    rows = rows.reshape(-1, d)
+    rows.setflags(write=False)
     branch = rows[0]
     p = _finite_probability(float(np.vdot(branch, branch).real))
-    # probabilities at rounding-noise scale are a vanishing combination
-    if p < ATOL_STRUCT ** 2:
+    if p < _VANISHING:
         return LccRunResult(0.0, None, rows)
-    return LccRunResult(p, statevector(branch / math.sqrt(p), dims=(spec.d,)),
-                        rows)
+    return LccRunResult(p, QuantumState((d,), branch / math.sqrt(p)), rows)
 
 
 def run_lcc_controlled_form(spec: LinearCombinationSpec,

@@ -76,7 +76,9 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
             raise InvalidInputError("epsilon must be positive")
         if epsilon == math.inf:
             raise InvalidInputError("epsilon must be finite")
-    elif not (0.0 < epsilon <= 1.0 / (n - 1)):
+        # [[1]] exactly: the formula (1+eps) - eps rho reads 0 from eps = 1e16 on
+        return np.ones((1, 1), dtype=complex)
+    if not (0.0 < epsilon <= 1.0 / (n - 1)):
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
     rho_m = ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho

@@ -48,14 +48,27 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def allclose_atol(x: np.ndarray, y: np.ndarray, atol: float) -> bool:
+    """``np.allclose(x, y, rtol=0.0, atol=atol)`` for equal shapes.
+
+    Entries match when |x - y| <= atol or when they are equal, which
+    covers equal infinities; nan matches nothing.  One max of the gaps
+    decides every case where that max passes; the entrywise rule runs
+    only when it does not, as for a nan gap from equal infinities.
+    """
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(x - y)
+        return bool(gap.max(initial=0.0) <= atol
+                    or ((gap <= atol) | (x == y)).all())
+
+
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         return False
     # entries too large to square overflow: not unitary, and no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), rtol=0.0,
-                           atol=atol)
+        return allclose_atol(m.conj().T @ m, np.eye(m.shape[0]), atol)
 
 
 def pauli_coefficients(op) -> np.ndarray:
@@ -81,7 +94,7 @@ class QuantumState:
 
     def __post_init__(self):
         dims = tuple(map(int, self.dims))
-        if min(dims, default=0) < 0:
+        if dims and min(dims) < 0:
             raise DimensionMismatchError(f"negative dimension in dims {dims}")
         total = math.prod(dims)
         data = np.asarray(self.data, dtype=complex)

@@ -70,3 +70,10 @@ class TestCombinations:
             gates.gate("U99")
         with pytest.raises(InvalidInputError):
             gates.combination_spec("H")  # base gate without a combination
+
+    @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
+    def test_spec_is_built_once_and_read_only(self, name):
+        spec = gates.combination_spec(name)
+        assert gates.combination_spec(name) is spec
+        for array in (spec.coefficients, spec.gates, spec.circuit_matrix):
+            assert not array.flags.writeable

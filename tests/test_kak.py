@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,10 @@ PRECONDITIONS = {
     "svd-imaginary-part-3x3": (
         lambda: simultaneous_svd(np.eye(4), np.zeros((3, 3))),
         InvalidInputError, "expected real 4x4 matrices"),
+    "svd-0x0": (lambda: simultaneous_svd(np.zeros((0, 0)), np.zeros((0, 0))),
+                InvalidInputError, "expected real 4x4 matrices"),
+    "svd-4x3": (lambda: simultaneous_svd(np.eye(4, 3), np.zeros((4, 3))),
+                InvalidInputError, "expected real 4x4 matrices"),
 }
 
 
@@ -321,3 +326,63 @@ def test_precondition_raises(name):
     call, error, fragment = PRECONDITIONS[name]
     with pytest.raises(error, match=fragment):
         call()
+
+
+def _reference_svd_refusal(a, b):
+    """simultaneous_svd's two unitarity preconditions as np.allclose(rtol=0)
+    decides them: the message of the first that fails, or None."""
+    if not np.allclose(a @ b.T, (a @ b.T).T, rtol=0.0, atol=1e-9):
+        return "A B^T is not symmetric"
+    if not np.allclose(a.T @ a + b.T @ b, np.eye(4), rtol=0.0, atol=1e-9):
+        return "A^T A + B^T B != I"
+    return None
+
+
+def _off_diagonal(delta):
+    out = np.zeros((4, 4))
+    out[0, 1] = delta
+    return out
+
+
+_HAAR = haar_random_unitary(4, np.random.default_rng(12))
+# (A, B) pairs; each decision must match the reference's
+SVD_VERDICTS = {
+    "haar": (_HAAR.real, _HAAR.imag),
+    "identity": (np.eye(4), np.zeros((4, 4))),
+    # A B^T = B^T, asymmetric by delta; A^T A + B^T B is off by delta^2
+    "asymmetry-inside": (np.eye(4), _off_diagonal(0.9e-9)),
+    "asymmetry-outside": (np.eye(4), _off_diagonal(1.1e-9)),
+    # A^T A = (1 + e)^2 I, off by 2e from I
+    "norm-inside": ((1 + 0.4e-9) * np.eye(4), np.zeros((4, 4))),
+    "norm-outside": ((1 + 0.6e-9) * np.eye(4), np.zeros((4, 4))),
+    "nan": (np.full((4, 4), np.nan), np.eye(4)),
+    "nan-imaginary-part": (np.eye(4), np.diag([np.nan, 0.0, 0.0, 0.0])),
+    # A B^T = diag(inf, 1, 1, 1): equal infinities compare as symmetric
+    "inf-diagonal": (np.diag([np.inf, 1.0, 1.0, 1.0]), np.eye(4)),
+    "inf-off-diagonal": (np.eye(4), _off_diagonal(np.inf)),
+    # finite entries whose products overflow to inf
+    "overflowing": (1e200 * np.eye(4), 1e200 * np.eye(4)),
+    "overflowing-pair": (np.full((4, 4), 1e200), np.full((4, 4), 1e200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVD_VERDICTS))
+def test_svd_preconditions_match_allclose(name):
+    a, b = SVD_VERDICTS[name]
+    # warnings from the products are the same on both sides; record them
+    # and compare, so that the check itself adds none
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = _reference_svd_refusal(a, b)
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        try:
+            simultaneous_svd(a, b)
+            got = None
+        except InvalidInputError as exc:
+            got = str(exc)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.startswith(want)
+    assert ({str(w.message) for w in got_warned}
+            == {str(w.message) for w in want_warned})

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -401,6 +402,58 @@ class TestArrayPath:
             assert abs(res.success_probability - 1.0 / 8) < 1e-12
             assert vector_phase_distance(res.output_state.data,
                                          direct / np.linalg.norm(direct)) < 1e-10
+
+
+def _run_bytes(spec, psi):
+    """Every byte a run returns: rows, success probability, output."""
+    res = run_lcc(spec, statevector(psi))
+    out = res.output_state
+    return b"".join([
+        res.rows.tobytes(), np.float64(res.success_probability).tobytes(),
+        b"-" if out is None else repr(out.dims).encode() + out.data.tobytes()])
+
+
+def _registry_runs():
+    psi3 = np.array([math.cos(0.3), np.exp(0.7j) * math.sin(0.3)])
+    for name in sorted(gates.COMBINATIONS):
+        spec = gates.combination_spec(name)
+        for psi in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), psi3):
+            yield spec, psi
+
+
+def _random_grid_runs():
+    # gaussian terms, not unitary; no LAPACK call, so the inputs are the
+    # generator's bytes alone
+    rng = np.random.default_rng(2718)
+    for n in (1, 2, 4, 8, 16, 32):
+        for d in (1, 2, 3, 4):
+            alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+            alpha /= np.linalg.norm(alpha)
+            terms = (rng.normal(size=(n, d, d))
+                     + 1j * rng.normal(size=(n, d, d))) / math.sqrt(d)
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            yield LinearCombinationSpec(alpha, terms), psi / np.linalg.norm(psi)
+    # a vanishing combination, and a spec whose runs enter np.errstate
+    yield LinearCombinationSpec((R2, -R2), (ID2, ID2)), np.array([1.0, 0.0])
+    yield (LinearCombinationSpec((R2, R2), (1e151 * ID2, 1e151 * SX)),
+           np.array([0.6, 0.8j]))
+
+
+# sha256 prefixes of the run bytes, recorded before run_lcc dropped its
+# per-call plumbing; a run's output must not move by a bit
+RUN_DIGESTS = {
+    "registry": "138bb09acd7db845",
+    "random-grid": "43b83208fbc8481d",
+}
+
+
+@pytest.mark.parametrize("name, runs", [("registry", _registry_runs),
+                                        ("random-grid", _random_grid_runs)])
+def test_run_bytes_are_pinned(name, runs):
+    h = hashlib.sha256()
+    for spec, psi in runs():
+        h.update(_run_bytes(spec, psi))
+    assert h.hexdigest()[:16] == RUN_DIGESTS[name]
 
 
 class TestRunLccAtScale:

@@ -249,12 +249,25 @@ class TestMakeDecoy:
     def test_one_term_control(self):
         # the decoy of a 1x1 control is [[1]] for every epsilon > 0
         rho = np.eye(1)
-        for eps in (0.5, 1.0, 7.0):
+        # (1 + eps) - eps, the formula at n = 1, reads 0 from eps = 1e16 on
+        for eps in (0.5, 1.0, 7.0, 1e8, 1e16, 1e300):
             assert np.array_equal(protocol.make_decoy(rho, 1, eps), [[1.0]])
         assert protocol.verify_decoy_identity(rho, 0.5, 0.3) == 0
         for eps in (0.0, -1.0):
             with pytest.raises(InvalidInputError, match="positive"):
                 protocol.make_decoy(rho, 1, eps)
+
+    @pytest.mark.parametrize("rho", [[[1.0]], [[1 + 5e-10]], [[1 - 5e-10]]])
+    def test_one_term_policy_accepts_a_near_unit_control(self, rho):
+        # a trace within 1e-9 of 1 is a density matrix; at eps = 1e16 the
+        # decoy formula read -5e6 for 1 + 5e-10
+        pol = protocol.SendPolicy(1e16, 0.5, rho)
+        assert pol.n == 1
+
+    def test_one_term_policy_refuses_a_trace_beyond_tolerance(self):
+        # 1 + 1e-9 rounds to a trace 1.0000000827e-9 above 1
+        with pytest.raises(InvalidInputError, match="not a density matrix"):
+            protocol.SendPolicy(1e16, 0.5, [[1 + 1e-9]])
 
     def test_one_term_decoy_keeps_its_weight_at_a_huge_epsilon(self):
         # (1 + 1e16) - 1e16 rounds to 0, yet the decoy [[1]] has weight 1

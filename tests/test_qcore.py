@@ -6,8 +6,9 @@ import pytest
 from conftest import random_statevector
 from lccsim.qcore import (DimensionMismatchError, HADAMARD, ID2,
                           InvalidInputError, SX, SY, SZ,
-                          QuantumState, apply_to_subsystems, basis_state,
-                          format_matrix, haar_random_unitary, is_unitary,
+                          QuantumState, allclose_atol, apply_to_subsystems,
+                          basis_state, format_matrix, haar_random_unitary,
+                          is_unitary,
                           measure_postselect, parse_matrix,
                           phase_aligned_distance, statevector, tensor)
 
@@ -273,3 +274,58 @@ def test_precondition_raises(name):
 
 def test_non_square_matrix_is_not_unitary():
     assert is_unitary(np.eye(2, 3)) is False
+
+
+def _reference_is_unitary(m, atol):
+    """The unitarity rule as np.allclose(rtol=0) decides it."""
+    m = np.asarray(m)
+    if m.shape[0] != m.shape[1]:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), rtol=0.0,
+                           atol=atol)
+
+
+# (matrix, verdict at ATOL_STRUCT)
+UNITARY_VERDICTS = {
+    "identity-3": (np.eye(3), True),
+    "haar-4": (haar_random_unitary(4, np.random.default_rng(11)), True),
+    "hadamard": (HADAMARD, True),
+    # m^+ m = diag((1 + e)^2, 1), off by 2e from I
+    "inside-threshold": (np.diag([1 + 0.4e-12, 1.0]), True),
+    "outside-threshold": (np.diag([1 + 0.6e-12, 1.0]), False),
+    "scaled": (2.0 * np.eye(2), False),
+    "nan": (np.full((2, 2), np.nan), False),
+    "nan-entry": (np.array([[1.0, np.nan], [0.0, 1.0]]), False),
+    "inf": (np.diag([np.inf, 1.0]), False),
+    "minus-inf": (np.array([[-np.inf, 0.0], [0.0, 1.0]]), False),
+    "overflowing": (1e200 * np.eye(2), False),
+    "empty": (np.zeros((0, 0)), True),
+    "non-square": (np.eye(2, 3), False),
+    "wide-empty": (np.zeros((0, 2)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_VERDICTS))
+@pytest.mark.parametrize("atol", [1e-12, 1e-10, 1e-5])
+def test_unitary_verdict_matches_allclose(name, atol):
+    m, verdict = UNITARY_VERDICTS[name]
+    got = is_unitary(m, atol=atol)
+    assert type(got) is bool
+    assert got == _reference_is_unitary(m, atol)
+    if atol == 1e-12:
+        assert got is verdict
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.array([np.inf, 1.0]), np.array([np.inf, 1.0])),
+    (np.array([np.inf, 1.0]), np.array([-np.inf, 1.0])),
+    (np.array([np.inf]), np.array([1e308])),
+    (np.array([np.nan]), np.array([np.nan])),
+    (np.array([0.0, 1.0]), np.array([1e-9, 1.0])),
+    (np.array([0.0, 1.0]), np.array([1.1e-9, 1.0])),
+    (np.array([complex(0.0, np.inf)]), np.array([complex(0.0, np.inf)])),
+    (np.zeros(0), np.zeros(0)),
+])
+def test_allclose_atol_matches_allclose(x, y):
+    assert allclose_atol(x, y, 1e-9) == np.allclose(x, y, rtol=0.0, atol=1e-9)
