@@ -53,7 +53,11 @@ def _emit(lines: list[str], args, body: str = "") -> None:
     """Write `lines`, one per line, then `body` as it is."""
     head = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}") from None
+        with fh:
             fh.write(head)
             fh.write(body)
     else:
@@ -67,16 +71,22 @@ def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
 
 def _require_seed(args) -> np.random.Generator:
     if args.seed is None:
         raise _CliError(EXIT_PRECONDITION, "this subcommand requires --seed")
-    if args.seed < 0:
-        raise _CliError(EXIT_PARSE, f"--seed must be non-negative, got {args.seed}")
-    return np.random.default_rng(args.seed)
+    return _generator(args.seed, "--seed")
+
+
+def _generator(seed: int, name: str) -> np.random.Generator:
+    """A generator seeded by ``seed``; a negative seed is refused with
+    exit 2 in a message that leads with ``name``."""
+    if seed < 0:
+        raise _CliError(EXIT_PARSE, f"{name} must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _checked_input(state, spec) -> qcore.QuantumState:
@@ -97,7 +107,9 @@ def cmd_lcc(args) -> int:
         raise _CliError(EXIT_UNKNOWN_NAME, str(exc)) from None
     except InvalidInputError as exc:
         raise _CliError(EXIT_PRECONDITION, f"invalid spec: {exc}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:
+        # json.loads raises RecursionError on arrays nested too deeply
         raise _CliError(EXIT_PARSE, f"invalid spec: {exc}") from None
     input_state = _checked_input(input_state, spec)
     result = lcc.run_lcc(spec, input_state)
@@ -175,7 +187,7 @@ def _integer(value, key: str) -> int:
 def _load_scenario(path: str) -> dict:
     try:
         doc = json.loads(_read_file(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(EXIT_PARSE, f"invalid scenario file: {exc}") from None
     if not isinstance(doc, dict):
         raise _CliError(EXIT_PARSE, "scenario file must hold a JSON object")
@@ -191,7 +203,9 @@ def cmd_protocol(args) -> int:
     if seed is None:
         raise _CliError(EXIT_PRECONDITION, "protocol runs require a seed")
     try:
-        rng = np.random.default_rng(_integer(seed, "seed"))
+        rng = _generator(_integer(seed, "seed"),
+                         "--seed" if args.seed is not None
+                         else "invalid scenario field: seed")
         epsilon = lcc._number(doc["epsilon"], "epsilon")
         tau = lcc._number(doc["tau"], "tau")
         intercept_fraction = lcc._number(doc.get("intercept_fraction", 0.0),

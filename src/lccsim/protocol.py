@@ -61,12 +61,16 @@ def teleport_postselected(state: QuantumState, source: int,
     return measure_postselect(st, [source, a], (0, 0))
 
 
-def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
-    """Decoy state rho_m = ((1+eps)/n) I - eps rho.
+def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
+    """Check a control ``rho`` of n terms and its ``epsilon``, in this
+    order: the shape, the range of eps, then the decoy's positivity.
 
-    Mixing the control with its decoy at odds eps : 1 yields the
-    maximally mixed state, hiding the control from the server.  Any
-    finite eps > 0 is valid for n = 1, where the decoy is [[1]].
+    Returns rho as a complex array, the decoy's coefficients (a, b) in
+    rho_m = a I - b rho, and one eigendecomposition of rho: lambda in
+    ascending order, its eigenvectors, and the decoy weights a - b lambda
+    in reverse order, so ascending.  At n = 1 the decoy is [[1]] for any
+    finite eps > 0: (a, b) = (1, 0), where the formula's (1+eps) - eps rho
+    reads 0 from eps = 1e16 on.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
@@ -76,23 +80,28 @@ def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
             raise InvalidInputError("epsilon must be positive")
         if epsilon == math.inf:
             raise InvalidInputError("epsilon must be finite")
-        # [[1]] exactly: the formula (1+eps) - eps rho reads 0 from eps = 1e16 on
-        return np.ones((1, 1), dtype=complex)
-    if not (0.0 < epsilon <= 1.0 / (n - 1)):
+        a, b = 1.0, 0.0
+    elif 0.0 < epsilon <= 1.0 / (n - 1):
+        a, b = (1.0 + epsilon) / n, epsilon
+    else:
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
-    rho_m = ((1.0 + epsilon) / n) * np.eye(n) - epsilon * rho
-    evals = np.linalg.eigvalsh(rho_m)
-    if evals.min() < -qcore.ATOL_STRUCT:
+    lam, vecs = np.linalg.eigh(rho)
+    decoy = a - b * lam[::-1]
+    if decoy[0] < -qcore.ATOL_STRUCT:
         raise InvalidInputError("decoy state is not positive semidefinite")
-    return rho_m
+    return rho, (a, b), lam, vecs, decoy
 
 
-def _noise_floored(evals: np.ndarray) -> np.ndarray:
-    """PSD eigenvalues with those at rounding-noise scale set to zero, so
-    that a zero weight computed as 1e-17 does not send its state."""
-    cut = len(evals) * np.finfo(float).eps * np.abs(evals).max()
-    return np.where(evals > cut, evals, 0.0)
+def make_decoy(rho: np.ndarray, n: int, epsilon: float) -> np.ndarray:
+    """Decoy state rho_m = ((1+eps)/n) I - eps rho.
+
+    Mixing the control with its decoy at odds eps : 1 yields the
+    maximally mixed state, hiding the control from the server.  Any
+    finite eps > 0 is valid for n = 1, where the decoy is [[1]].
+    """
+    rho, (a, b), _, _, _ = _decoy_rule(rho, n, epsilon)
+    return a * np.eye(n) - b * rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,25 +109,51 @@ class SendPolicy:
     """Per-round sending distribution over control, decoy, and verify states.
 
     ``control_rho`` must be a density matrix: Hermitian and positive
-    semidefinite to ATOL_STRUCT, with trace 1 to within 1e-9.
+    semidefinite to ATOL_STRUCT, with trace 1 to within 1e-9.  The policy
+    keeps a read-only copy of it.  One eigendecomposition of it checks the
+    control and its decoy and gives the `outcome_table`, which the policy
+    builds once and holds.
     """
 
     epsilon: float
     tau: float
     control_rho: np.ndarray = field(repr=False)
+    _table: tuple[tuple, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.control_rho, dtype=complex)
+        rho = np.array(self.control_rho, dtype=complex)
+        rho.setflags(write=False)
         object.__setattr__(self, "control_rho", rho)
         if not 0.0 < self.tau < 1.0:
             raise InvalidInputError("tau must lie in (0,1)")
-        make_decoy(rho, self.n, self.epsilon)  # validates shape, epsilon, decoy
-        if (np.abs(rho - rho.conj().T).max() > qcore.ATOL_STRUCT
-                or abs(np.trace(rho) - 1.0) > 1e-9
-                or np.linalg.eigvalsh(rho)[0] < -qcore.ATOL_STRUCT):
+        _, _, lam, vecs, decoy = _decoy_rule(rho, self.n, self.epsilon)
+        # a nan anywhere fails the first comparison
+        if not (np.abs(rho - rho.conj().T).max() <= qcore.ATOL_STRUCT
+                and abs(np.trace(rho) - 1.0) <= 1e-9
+                and lam[0] >= -qcore.ATOL_STRUCT):
             raise InvalidInputError(
                 "control state is not a density matrix: it must be "
                 "Hermitian and positive semidefinite with trace 1")
+        entries, probs = [], []
+        vecs.setflags(write=False)
+        for kind, p_kind, weights, states in (
+                ("compute", self.p_control, lam, vecs.T),
+                ("decoy", self.p_decoy, decoy, vecs.T[::-1])):
+            # a weight at rounding-noise scale is zero, so that a zero
+            # weight computed as 1e-17 does not send its state
+            cut = len(weights) * np.finfo(float).eps * np.abs(weights).max()
+            weights = np.where(weights > cut, weights, 0.0)
+            for w, vec in zip(weights / weights.sum(), states):
+                if w > 0:
+                    entries.append((kind, vec))
+                    probs.append(p_kind * w)
+        eye = np.eye(self.n, dtype=complex)
+        eye.setflags(write=False)
+        entries += [(("verify", i), eye[:, i]) for i in range(self.n)]
+        probs += [self.p_basis] * self.n
+        probs = np.array(probs)
+        probs.setflags(write=False)
+        object.__setattr__(self, "_table", (tuple(entries), probs))
 
     @property
     def n(self) -> int:
@@ -136,8 +171,9 @@ class SendPolicy:
     def p_basis(self) -> float:
         return (1.0 - self.tau) / self.n
 
-    def outcome_table(self) -> tuple[list, np.ndarray]:
-        """All (label, pure state) outcomes of one round with probabilities.
+    def outcome_table(self) -> tuple[tuple, np.ndarray]:
+        """All (label, pure state) outcomes of one round with probabilities,
+        built once with the policy; every array in it is read-only.
 
         One eigendecomposition of the control rho gives both kinds: the
         decoy ((1+eps)/n) I - eps rho has rho's eigenvectors, with
@@ -146,25 +182,7 @@ class SendPolicy:
         is not listed.  At n = 1 the decoy is [[1]], of weight 1 for any
         eps, where the formula would read (1+eps) - eps = 0 at eps = 1e16.
         """
-        entries = []
-        probs = []
-        lam, vecs = np.linalg.eigh(self.control_rho)
-        # lambda ascends, so the decoy weights ascend in reverse order
-        decoy = (np.ones(1) if self.n == 1 else
-                 (1.0 + self.epsilon) / self.n - self.epsilon * lam[::-1])
-        for kind, p_kind, weights, states in (
-                ("compute", self.p_control, lam, vecs.T),
-                ("decoy", self.p_decoy, decoy, vecs.T[::-1])):
-            weights = _noise_floored(weights)
-            for w, vec in zip(weights / weights.sum(), states):
-                if w > 0:
-                    entries.append((kind, vec))
-                    probs.append(p_kind * w)
-        eye = np.eye(self.n, dtype=complex)
-        for i in range(self.n):
-            entries.append((("verify", i), eye[:, i]))
-            probs.append(self.p_basis)
-        return entries, np.array(probs)
+        return self._table
 
 
 def empirical_server_average(policy: SendPolicy, samples: int,

@@ -204,25 +204,27 @@ def _project_unit_simplex(m: np.ndarray) -> np.ndarray:
 def _chi_gradient(chi: np.ndarray, terms) -> tuple[np.ndarray, float]:
     """Gradient of the log-likelihood in chi,
     G = sum_k n_k C_k / Tr(C_k chi) - N S / Tr(S chi), and its value."""
-    vals = np.einsum("kij,ji->k", terms["event_mats"], chi).real
-    norm_val = np.einsum("ij,ji->", terms["norm_mat"], chi).real
+    event_mats, event_counts, norm_mat, norm_count = terms
+    vals = np.einsum("kij,ji->k", event_mats, chi).real
+    norm_val = np.einsum("ij,ji->", norm_mat, chi).real
     grad = np.einsum("k,kij->ij",
-                     terms["event_counts"] / np.clip(vals, 1e-300, None),
-                     terms["event_mats"])
-    grad -= (terms["norm_count"] / norm_val) * terms["norm_mat"]
+                     event_counts / np.clip(vals, 1e-300, None), event_mats)
+    grad -= (norm_count / norm_val) * norm_mat
     if vals.min() <= 1e-300:
         return grad, -np.inf
-    return grad, float(terms["event_counts"] @ np.log(vals)
-                       - terms["norm_count"] * math.log(norm_val))
+    return grad, float(event_counts @ np.log(vals)
+                       - norm_count * math.log(norm_val))
 
 
-def _likelihood_terms(dataset: TomographyDataset) -> dict:
-    """Multinomial model over all cells: p_k = Tr(C_k chi) / Tr(S chi)."""
+def _likelihood_terms(dataset: TomographyDataset
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Multinomial model over all cells: p_k = Tr(C_k chi) / Tr(S chi).
+    The terms are the observed cells' C_k and counts n_k, then S and the
+    total count N."""
     rows, counts = _setting_cells(dataset)
     mats = _C_TABLE[rows]
     seen = counts > 0
-    return {"event_mats": mats[seen], "event_counts": counts[seen],
-            "norm_mat": mats.sum(axis=0), "norm_count": dataset.total()}
+    return mats[seen], counts[seen], mats.sum(axis=0), dataset.total()
 
 
 def _optimality_gap(chi: np.ndarray, grad: np.ndarray) -> float:
@@ -268,7 +270,7 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     already optimal, as on noise-free analytic data).
     """
     terms = _likelihood_terms(dataset)
-    total = terms["norm_count"]
+    *_, total = terms
     if not total > 0:
         raise InvalidInputError("dataset is empty")
     start = (linear_inversion(dataset) if initial is None

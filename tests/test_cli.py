@@ -666,9 +666,69 @@ class TestJsonReadersFuzz:
             assert err.endswith("\n")
 
 
+# argv, with {placeholders} for the files `TestDispatch` writes, and the
+# start of the one stderr line, for inputs that cannot be read or parsed
+# and outputs that cannot be written: each exits 2 and writes no output
+IO_FAULTS = {
+    "lcc-undecodable": (["lcc", "{bad}"], "error: cannot read {bad}: "),
+    "kak-undecodable": (["kak", "{bad}"], "error: cannot read {bad}: "),
+    "protocol-undecodable": (["protocol", "{bad}"],
+                             "error: cannot read {bad}: "),
+    "tomography-undecodable": (["tomography", "{bad}"],
+                               "error: cannot read {bad}: "),
+    "lcc-nested-too-deeply": (["lcc", "{deep}"], "error: invalid spec: "),
+    "protocol-nested-too-deeply": (["protocol", "{deep}"],
+                                   "error: invalid scenario file: "),
+    "out-is-a-directory": (["--out", "{dir}", "protocol", "{scenario}"],
+                           "error: cannot write {dir}: "),
+    "out-parent-missing": (["--out", "{missing}", "protocol", "{scenario}"],
+                           "error: cannot write {missing}: "),
+    "kak-out-parent-missing": (
+        ["--seed", "1", "--out", "{missing}", "kak", "--random", "1"],
+        "error: cannot write {missing}: "),
+    "protocol-negative-seed-flag": (
+        ["--seed", "-1", "protocol", "{scenario}"],
+        "error: --seed must be non-negative, got -1"),
+    "protocol-negative-seed-field": (
+        ["protocol", "{negative_seed}"],
+        "error: invalid scenario field: seed must be non-negative, got -1"),
+}
+
+
 class TestDispatch:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("name", sorted(IO_FAULTS))
+    def test_io_fault_exit_2(self, name, tmp_path, capsys):
+        scenario = {"operation": "U2", "epsilon": 1.0, "tau": 0.5,
+                    "rounds": 20, "seed": 3}
+        files = {"bad": tmp_path / "bad.bin", "deep": tmp_path / "deep.json",
+                 "scenario": tmp_path / "scenario.json",
+                 "negative_seed": tmp_path / "negative.json",
+                 "dir": tmp_path / "outdir",
+                 "missing": tmp_path / "absent" / "out.txt",
+                 "out": tmp_path / "out.txt"}
+        files["bad"].write_bytes(b"\xff\xfe\x00")
+        files["deep"].write_text("[" * 100000 + "]" * 100000)
+        files["scenario"].write_text(json.dumps(scenario))
+        files["negative_seed"].write_text(json.dumps({**scenario, "seed": -1}))
+        files["dir"].mkdir()
+        argv, start = IO_FAULTS[name]
+        argv = [a.format(**files) for a in argv]
+        if "--out" not in argv:
+            argv = ["--out", str(files["out"]), *argv]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(start.format(**files))
+        assert "Traceback" not in err
+        if name == "protocol-negative-seed-flag":
+            assert "--seed" in err
+        # no output file is left behind
+        assert not files["out"].exists()
+        assert not files["missing"].parent.exists()
+        assert list(files["dir"].iterdir()) == []
 
     def test_replaced_subcommand_is_called(self, scenario_file, tmp_path,
                                            monkeypatch):

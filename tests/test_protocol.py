@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -351,6 +352,143 @@ class TestSendPolicy:
         with pytest.raises(InvalidInputError, match="samples"):
             protocol.empirical_server_average(pol, samples,
                                               np.random.default_rng(0))
+
+
+def pinned_controls():
+    """(n, rho, eps) over a seeded grid: a pure and a mixed control for
+    each n in {1, 2, 4, 8}, scaled to traces 1, 1 - 5e-10 and 1 + 5e-10,
+    at both ends of eps's range, with eps = 1e16 at n = 1."""
+    rng = np.random.default_rng(2028)
+    for n in (1, 2, 4, 8):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        w = rng.random(n)
+        w /= w.sum()
+        q = np.linalg.qr(rng.normal(size=(n, n))
+                         + 1j * rng.normal(size=(n, n)))[0]
+        for rho in (np.outer(v, v.conj()), (q * w) @ q.conj().T):
+            for scale in (1.0, 1 - 5e-10, 1 + 5e-10):
+                for eps in (1e-9, 1e16 if n == 1 else 1.0 / (n - 1)):
+                    yield n, scale * rho, eps
+
+
+# sha256 over `pinned_controls` of each policy's outcome table (labels,
+# vector bytes, probability bytes) or refusal message, as the policy
+# built it when it decomposed its control once per `outcome_table` call:
+# 45 tables and 3 refusals (pure controls of trace 1 + 5e-10 at
+# eps = 1/(n-1), whose decoy weight is -5e-10/(n-1))
+TABLE_DIGEST = "8b327bcb1acf3f50f4e416cb51ccca73f7af9dba2674d127dc96b03be238a3a8"
+
+# the exception and message for controls and epsilons that fail one
+# check or several, as recorded when the policy ran three decompositions:
+# shape comes first, then epsilon, then the decoy, then the density matrix
+POLICY_VERDICTS = {
+    "non-square": ((0.5, np.ones((2, 3)) / 2), "control state must be 2x2"),
+    "one-dimensional": ((0.5, [0.5, 0.5]), "control state must be 2x2"),
+    "non-hermitian": ((0.5, [[0.5, 0.5], [0.1, 0.5]]),
+                      "control state is not a density matrix: it must be "
+                      "Hermitian and positive semidefinite with trace 1"),
+    "eps-above-range": ((0.5, np.eye(4) / 4),
+                        "epsilon must lie in (0, 1/(n-1)] = "
+                        "(0, 0.3333333333333333]"),
+    "eps-zero": ((0.0, np.eye(2) / 2),
+                 "epsilon must lie in (0, 1/(n-1)] = (0, 1.0]"),
+    "eps-nan": ((math.nan, np.eye(2) / 2),
+                "epsilon must lie in (0, 1/(n-1)] = (0, 1.0]"),
+    "eps-negative-one-term": ((-1.0, np.eye(1)), "epsilon must be positive"),
+    "eps-nan-one-term": ((math.nan, np.eye(1)), "epsilon must be positive"),
+    "eps-infinite-one-term": ((math.inf, np.eye(1)), "epsilon must be finite"),
+    "decoy-just-below-zero": ((1.0, (1 + 5e-10) * np.diag([1.0, 0.0])),
+                              "decoy state is not positive semidefinite"),
+    "decoy-just-below-zero-n4": ((1 / 3, (1 + 5e-10) * np.diag([1.0, 0, 0, 0])),
+                                 "decoy state is not positive semidefinite"),
+    "trace-beyond-tolerance": ((0.5, (1 + 2e-9) * np.eye(2) / 2),
+                               "control state is not a density matrix: it "
+                               "must be Hermitian and positive semidefinite "
+                               "with trace 1"),
+    "shape-and-eps": ((5.0, np.ones((2, 3))), "control state must be 2x2"),
+    "eps-and-decoy": ((5.0, np.diag([1.5, -0.5])),
+                      "epsilon must lie in (0, 1/(n-1)] = (0, 1.0]"),
+    "decoy-and-density": ((1.0, np.diag([1.5, -0.5])),
+                          "decoy state is not positive semidefinite"),
+}
+
+
+class TestOneDecomposition:
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["U1", "U2", "U12"])
+    def test_one_decomposition_per_policy(self, decompositions, name):
+        spec = gates.combination_spec(name)
+        pol = pure_policy(spec.coefficients)
+        assert len(decompositions) == 1
+        psi = basis_state((spec.d,), (0,))
+        behavior = protocol.ServerBehavior(mode="intercept",
+                                           intercept_fraction=0.5)
+        pol.outcome_table()
+        protocol.run_session(spec, psi, pol, behavior, 50,
+                             np.random.default_rng(1))
+        protocol.intercept_detection_rate(spec, psi, pol, behavior)
+        protocol.empirical_server_average(pol, 10, np.random.default_rng(2))
+        assert len(decompositions) == 1
+
+    def test_table_is_held_and_read_only(self):
+        rng = np.random.default_rng(11)
+        w = rng.random(4)
+        q = haar_random_unitary(4, rng)
+        pol = protocol.SendPolicy(1 / 3, 0.5, (q * w / w.sum()) @ q.conj().T)
+        assert pol.outcome_table() is pol.outcome_table()
+        entries, probs = pol.outcome_table()
+        assert not probs.flags.writeable
+        assert all(not vec.flags.writeable for _, vec in entries)
+
+    def test_control_is_a_read_only_copy(self):
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        pol = protocol.SendPolicy(1.0, 0.5, rho)
+        rho[:] = np.diag([0.0, 1.0])
+        assert np.array_equal(pol.control_rho, np.diag([1.0, 0.0]))
+        assert not pol.control_rho.flags.writeable
+
+    def test_table_pin(self):
+        digest = hashlib.sha256()
+        for n, rho, eps in pinned_controls():
+            try:
+                entries, probs = protocol.SendPolicy(eps, 0.5, rho).outcome_table()
+            except InvalidInputError as exc:
+                digest.update(f"refused {exc}".encode())
+                continue
+            for label, vec in entries:
+                digest.update(repr(label).encode())
+                digest.update(np.ascontiguousarray(vec).tobytes())
+            digest.update(probs.tobytes())
+        assert digest.hexdigest() == TABLE_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(POLICY_VERDICTS))
+    def test_verdict(self, name):
+        (eps, rho), message = POLICY_VERDICTS[name]
+        with pytest.raises(InvalidInputError) as info:
+            protocol.SendPolicy(eps, 0.5, rho)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rho", [[[math.nan]],
+                                     [[math.nan, 0.0], [0.0, 0.5]],
+                                     [[0.5, math.nan], [math.nan, 0.5]]])
+    def test_nan_control_is_refused(self, rho):
+        # every comparison with nan is false, so the density-matrix test
+        # must hold for each check rather than fail on one
+        with pytest.raises(InvalidInputError, match="not a density matrix"):
+            protocol.SendPolicy(0.5, 0.5, rho)
 
 
 class TestRunSession:
