@@ -4,9 +4,10 @@ Subcommands: lcc, kak, protocol, tomography.  All stochastic commands
 require --seed; identical inputs and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 parse failure, 3 precondition violation,
-4 dimension mismatch, 5 unknown name.  A reader that closes the output
-pipe early (``lccsim protocol s.json | head -1``) ends the run quietly
-with exit 0: it has read all it wanted.
+4 dimension mismatch, 5 unknown operation name (``gates`` judges names,
+and `main` alone maps its ``UnknownNameError`` to 5).  A reader that
+closes the output pipe early (``lccsim protocol s.json | head -1``) ends
+the run quietly with exit 0: it has read all it wanted.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -103,8 +105,8 @@ def cmd_lcc(args) -> int:
     try:
         spec, input_state = lcc.spec_from_json(_read_file(args.spec),
                                                gate_registry=gates.GATES)
-    except UnknownNameError as exc:
-        raise _CliError(EXIT_UNKNOWN_NAME, str(exc)) from None
+    except UnknownNameError:
+        raise  # to `main`, past the next clause
     except InvalidInputError as exc:
         raise _CliError(EXIT_PRECONDITION, f"invalid spec: {exc}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
@@ -180,18 +182,32 @@ def cmd_kak(args) -> int:
 def _integer(value, key: str) -> int:
     """A scenario field that must be a JSON integer."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{key} must be a JSON integer, "
+                         f"got {reprlib.repr(value)}")
     return value
+
+
+# the fields a scenario may hold; it must hold the first four
+_SCENARIO_FIELDS = ("operation", "epsilon", "tau", "rounds", "seed",
+                    "behavior", "intercept_fraction", "intercept_basis",
+                    "input_state")
 
 
 def _load_scenario(path: str) -> dict:
     try:
         doc = json.loads(_read_file(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal beyond
+        # int's 4300-digit string limit; RecursionError, arrays nested too
+        # deeply
         raise _CliError(EXIT_PARSE, f"invalid scenario file: {exc}") from None
     if not isinstance(doc, dict):
         raise _CliError(EXIT_PARSE, "scenario file must hold a JSON object")
-    for key in ("operation", "epsilon", "tau", "rounds"):
+    for key in doc:
+        if key not in _SCENARIO_FIELDS:
+            raise _CliError(EXIT_PARSE,
+                            f"scenario has unknown field {reprlib.repr(key)}")
+    for key in _SCENARIO_FIELDS[:4]:
         if key not in doc:
             raise _CliError(EXIT_PARSE, f"scenario missing field {key!r}")
     return doc
@@ -222,10 +238,10 @@ def cmd_protocol(args) -> int:
         raise _CliError(EXIT_PARSE, f"invalid scenario field: {exc}") from None
 
     op_name = doc["operation"]
+    # combination_spec's cache hashes its argument
     if not isinstance(op_name, str):
-        raise _CliError(EXIT_PARSE, f"operation must be a name, got {op_name!r}")
-    if op_name not in gates.COMBINATIONS:
-        raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {op_name!r}")
+        raise _CliError(EXIT_PARSE, f"operation must be a name, "
+                                    f"got {reprlib.repr(op_name)}")
     spec = gates.combination_spec(op_name)
 
     input_state = _checked_input(
@@ -294,16 +310,14 @@ def cmd_tomography(args) -> int:
             names.append(line)
     if not names:
         raise _CliError(EXIT_UNKNOWN_NAME, "operation list is empty")
-    for name in names:
-        if name not in gates.GATES:
-            raise _CliError(EXIT_UNKNOWN_NAME, f"unknown operation {name!r}")
+    ops = [gates.gate(name) for name in names]
     rng = _require_seed(args) if not analytic else None
     lines = [f"# tomography: shots={args.shots} "
              f"noise={_fixed(args.noise, '.6f')} "
              f"mode={'analytic' if analytic else 'sampled'}",
              "# name fidelity std"]
-    for name in names:
-        chi_true = tomography.ideal_chi(gates.gate(name))
+    for name, op in zip(names, ops):
+        chi_true = tomography.ideal_chi(op)
         chi_sim = tomography.depolarize_chi(chi_true, args.noise)
         dataset = tomography.simulate_dataset(chi_sim, args.shots, rng,
                                               analytic=analytic)
@@ -364,6 +378,9 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
+    except UnknownNameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN_NAME
     except (InvalidInputError, kak.DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

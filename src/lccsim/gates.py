@@ -8,19 +8,28 @@ U1..U12 built from the pair
 
 with combination coefficients (cos(2t), sin(2t)) swept over multiples of
 pi/8, along with four extra operations combining Paulis.  U12 is the
-deliberately non-unitary member, (X + iZ)/sqrt(2).  Coefficients are
-stored in closed form so normalization holds to machine precision.
+deliberately non-unitary member, (X + iZ)/sqrt(2).  Every registry row
+has two terms: U4 = A and U6 = B carry a zero-coefficient identity as
+their second term, so every named operation runs on the same circuit.
+Coefficients are stored in closed form so normalization holds to
+machine precision.
+
+This module is the one judge of operation names: ``gate`` and
+``combination_spec`` refuse a name they do not hold with
+``UnknownNameError``, worded ``unknown operation 'NAME'`` with the name
+shortened by ``reprlib.repr`` to about 30 characters.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import reprlib
 
 import numpy as np
 
 from .lcc import LinearCombinationSpec
-from .qcore import HADAMARD, ID2, SX, SY, SZ, InvalidInputError
+from .qcore import HADAMARD, ID2, SX, SY, SZ, UnknownNameError
 
 A_GATE = np.array([[1 - 1j, 0], [0, -1 - 1j]], dtype=complex) / math.sqrt(2)
 B_GATE = np.array([[0, 1 + 1j], [1 - 1j, 0]], dtype=complex) / math.sqrt(2)
@@ -28,14 +37,14 @@ B_GATE = np.array([[0, 1 + 1j], [1 - 1j, 0]], dtype=complex) / math.sqrt(2)
 _C8, _S8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
 _R2 = 1.0 / math.sqrt(2)
 
-# name -> (coefficients, component gate names)
-COMBINATIONS: dict[str, tuple[tuple[complex, ...], tuple[str, ...]]] = {
+# name -> (two coefficients, two component gate names)
+COMBINATIONS: dict[str, tuple[tuple[complex, complex], tuple[str, str]]] = {
     "U1": ((_C8, _S8), ("A", "B")),
     "U2": ((_R2, _R2), ("A", "B")),
     "U3": ((-_S8, _C8), ("A", "B")),
-    "U4": ((1.0,), ("A",)),
+    "U4": ((1.0, 0.0), ("A", "I")),
     "U5": ((_S8, _C8), ("A", "B")),
-    "U6": ((1.0,), ("B",)),
+    "U6": ((1.0, 0.0), ("B", "I")),
     "U7": ((-_R2, _R2), ("A", "B")),
     "U8": ((-_C8, _S8), ("A", "B")),
     "U9": ((_R2, _R2 * 1j), ("I", "Z")),
@@ -64,29 +73,29 @@ GATES: dict[str, np.ndarray] = dict(_BASE)
 GATES.update({name: _combination_matrix(name) for name in COMBINATIONS})
 
 
+def _unknown(name) -> UnknownNameError:
+    return UnknownNameError(f"unknown operation {reprlib.repr(name)}")
+
+
 def gate(name: str) -> np.ndarray:
     """Look up a named operation's matrix (a copy)."""
     try:
         return GATES[name].copy()
     except KeyError:
-        raise InvalidInputError(f"unknown operation name {name!r}") from None
+        raise _unknown(name) from None
 
 
 @functools.cache
 def combination_spec(name: str) -> LinearCombinationSpec:
-    """Two-term (or padded) linear-combination spec realizing a named
-    operation on the extended circuit.
+    """Two-term linear-combination spec realizing a named operation on
+    the extended circuit: one control qubit and two terms, read from the
+    registry row (U4 and U6 with their zero identity term).
 
-    Single-term entries (U4, U6) are padded with a zero-coefficient
-    identity, so every named operation runs on the same circuit: one
-    control qubit and two terms.  A spec is frozen and its arrays are
-    read-only, so each name's spec is built once per process and shared.
+    A spec is frozen and its arrays are read-only copies, so each name's
+    spec is built once per process and shared.
     """
-    if name not in COMBINATIONS:
-        raise InvalidInputError(f"no combination registered for {name!r}")
-    coeffs, parts = COMBINATIONS[name]
-    gates = [gate(p) for p in parts]
-    if len(coeffs) == 1:
-        coeffs = (coeffs[0], 0.0)
-        gates.append(ID2.copy())
-    return LinearCombinationSpec(tuple(coeffs), tuple(gates))
+    try:
+        coeffs, parts = COMBINATIONS[name]
+    except KeyError:
+        raise _unknown(name) from None
+    return LinearCombinationSpec(coeffs, tuple(_BASE[p] for p in parts))

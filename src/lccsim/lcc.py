@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,14 +69,17 @@ class LinearCombinationSpec:
         alpha = np.array(self.coefficients, dtype=complex)
         alpha.flags.writeable = False
         object.__setattr__(self, "coefficients", alpha)
+        if alpha.ndim != 1:
+            raise InvalidInputError(
+                "coefficients must be a sequence of numbers")
         n = len(alpha)
         if n < 1 or (n & (n - 1)) != 0:
             raise InvalidInputError(f"term count {n} is not a power of 2")
-        if len(self.gates) != n:
+        if not hasattr(self.gates, "__len__") or len(self.gates) != n:
             raise InvalidInputError("one gate per coefficient required")
         try:
             stack = np.array(self.gates, dtype=complex)
-        except ValueError:  # ragged: gates of unequal shape
+        except (TypeError, ValueError):  # ragged, or not numbers
             stack = None
         if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise InvalidInputError("all gates must be square of equal size")
@@ -279,7 +283,8 @@ def spec_to_json(spec: LinearCombinationSpec,
 def _number(value, key: str) -> float:
     """A JSON number within float range; ``key`` names it in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+        raise ValueError(f"{key} must be a JSON number, "
+                         f"got {reprlib.repr(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer such as 10**400
@@ -306,7 +311,7 @@ def spec_from_json(text: str, gate_registry: dict[str, np.ndarray] | None = None
     for g in doc["gates"]:
         if isinstance(g, str):
             if not gate_registry or g not in gate_registry:
-                raise UnknownNameError(f"unknown gate name {g!r}")
+                raise UnknownNameError(f"unknown gate name {reprlib.repr(g)}")
             gates.append(gate_registry[g])
         else:
             gates.append(np.array([[_complex(z, "gate entry") for z in row]

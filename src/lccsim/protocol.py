@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,6 +75,8 @@ def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
     reads 0 from eps = 1e16 on.
     """
     rho = np.asarray(rho, dtype=complex)
+    if n < 1:
+        raise InvalidInputError("control state must be at least 1x1")
     if rho.shape != (n, n):
         raise InvalidInputError(f"control state must be {n}x{n}")
     if n == 1:
@@ -126,6 +130,9 @@ class SendPolicy:
         object.__setattr__(self, "control_rho", rho)
         if not 0.0 < self.tau < 1.0:
             raise InvalidInputError("tau must lie in (0,1)")
+        # `n` reads the first axis, which a 0-d control lacks
+        if rho.ndim == 0:
+            raise InvalidInputError("control state must be a matrix")
         _, _, lam, vecs, decoy = _decoy_rule(rho, self.n, self.epsilon)
         # a nan anywhere fails the first comparison
         if not (np.abs(rho - rho.conj().T).max() <= qcore.ATOL_STRUCT
@@ -219,7 +226,8 @@ class ServerBehavior:
 
     def __post_init__(self):
         if self.mode not in ("honest", "intercept", "skip_measurement"):
-            raise InvalidInputError(f"unknown server mode {self.mode!r}")
+            raise InvalidInputError(
+                f"unknown server mode {reprlib.repr(self.mode)}")
         if not 0.0 <= self.intercept_fraction <= 1.0:
             raise InvalidInputError("intercept fraction must lie in [0,1]")
         if self.intercept_basis not in ("x", "z"):
@@ -514,8 +522,11 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     audit the output against V_i |psi> with a single-shot check.  The
     input must be a normalized statevector (within 1e-9), and the LCC
     stage's success probability S / n^2 at most 1 (see `_teleport_stage`),
-    and ``rounds`` at least 0.
+    and ``rounds`` an integer of at least 0.
     """
+    if not isinstance(rounds, numbers.Integral):
+        raise InvalidInputError(
+            f"rounds must be an integer, got {reprlib.repr(rounds)}")
     if rounds < 0:
         raise InvalidInputError(f"rounds must be at least 0, got {rounds}")
     p_lcc, cells = _session_law(spec, input_state, policy, behavior)
@@ -554,13 +565,17 @@ def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,
     Simulates the one-control circuit step by step: EPR-conditioned A/B,
     the client's control preparation, CNOT, Hadamard, then the client's
     (0,0) postselection.  Returns alpha |0> A|phi> + beta |1> B|phi> on
-    the server's qubit plus register.
+    the server's qubit plus register.  A and B must be d x d, d the
+    dimension of phi.
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise InvalidInputError("control amplitudes must be normalized")
     d = phi.total_dim
     a_gate = np.asarray(a_gate, dtype=complex)
     b_gate = np.asarray(b_gate, dtype=complex)
+    if a_gate.shape != (d, d) or b_gate.shape != (d, d):
+        raise qcore.DimensionMismatchError(
+            f"gates A and B must be {d}x{d}, as phi is {d}-dim")
     # qubit 1 (client local), qubits 2,3 (EPR halves), register
     st = tensor(basis_state((2,), (0,)), epr_pair(), phi)
     cond = np.kron(np.diag([1.0, 0.0]), a_gate) + np.kron(np.diag([0.0, 1.0]), b_gate)

@@ -64,7 +64,7 @@ def allclose_atol(x: np.ndarray, y: np.ndarray, atol: float) -> bool:
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     # entries too large to square overflow: not unitary, and no warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -85,7 +85,11 @@ class ChiMatrix:
         m = np.asarray(self.data, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidInputError("chi matrix must be 4x4")
-        if np.abs(m - m.conj().T).max() > 1e-9:
+        # a nan or inf entry leaves a nan in m - m^H, which fails this
+        # comparison, so eigvalsh sees only finite entries
+        with np.errstate(invalid="ignore"):
+            skew = np.abs(m - m.conj().T).max()
+        if not skew <= 1e-9:
             raise InvalidInputError("chi matrix must be Hermitian")
         if np.linalg.eigvalsh(m).min() < -1e-9:
             raise InvalidInputError("chi matrix must be positive semidefinite")

@@ -606,6 +606,68 @@ class TestTomographyCommand:
         assert err == "error: dataset is empty\n"
 
 
+_LONG_NAME = "U" * 100_000
+_SCENARIO = {"operation": "U2", "epsilon": 1.0, "tau": 0.5, "rounds": 5,
+             "seed": 1}
+
+
+class TestOneErrorLine:
+    """A failure ends in one bounded stderr line, however large the input."""
+
+    @pytest.mark.parametrize("command, text, args", [
+        ("lcc", json.dumps({"coefficients": [[1.0, 0.0], [0.0, 0.0]],
+                            "gates": ["A", _LONG_NAME]}), []),
+        ("protocol", json.dumps({**_SCENARIO, "operation": _LONG_NAME}), []),
+        ("tomography", f"U1\n{_LONG_NAME}\n", []),
+        # the name is refused before the missing seed is
+        ("tomography", f"{_LONG_NAME}\n", ["--sampled"])],
+        ids=["lcc", "protocol", "tomography", "tomography-before-seed"])
+    def test_long_unknown_name_exit_5(self, tmp_path, capsys, command, text,
+                                      args):
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert run([command, str(path), *args]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("text, start", [
+        (json.dumps({**_SCENARIO, "epsilon": list(range(50_000))}),
+         "error: invalid scenario field: epsilon must be a JSON number, "
+         "got [0, 1, 2,"),
+        (json.dumps({**_SCENARIO, "behaviour": "intercept",
+                     "intercept_fraction": 1.0}),
+         "error: scenario has unknown field 'behaviour'\n"),
+        (json.dumps({**_SCENARIO, "x" * 50_000: 1}),
+         "error: scenario has unknown field 'xxx"),
+        (json.dumps(_SCENARIO).replace('"rounds": 5', '"rounds": ' + "7" * 5001),
+         "error: invalid scenario file: Exceeds the limit (4300 digits)")],
+        ids=["long-list", "misspelt", "long-key", "5001-digits"])
+    def test_large_or_misspelt_field_exit_2(self, tmp_path, text, start):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, err = run_process(["protocol", str(path)])
+        assert code == 2
+        assert err.startswith(start) and err.count("\n") == 1
+        assert "Traceback" not in err and len(err.encode()) < 300
+
+    @pytest.mark.parametrize("field, value, code, err", [
+        ("operation", list(range(50_000)), 2,
+         "error: operation must be a name, got [0, 1, 2, 3, 4, 5, ...]\n"),
+        ("seed", "s" * 50_000, 2,
+         "error: invalid scenario field: seed must be a JSON integer, "
+         "got 'ssssssssssss...sssssssssssss'\n"),
+        ("behavior", "b" * 50_000, 3,
+         "error: unknown server mode 'bbbbbbbbbbbb...bbbbbbbbbbbbb'\n")],
+        ids=["operation", "seed", "behavior"])
+    def test_large_value_echoed_bounded(self, tmp_path, capsys, field, value,
+                                        code, err):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**_SCENARIO, field: value}))
+        assert run(["protocol", str(path)]) == code
+        assert capsys.readouterr().err == err
+
+
 def _set_leaf(doc, path, value):
     """Put ``value`` at ``path``, a sequence of keys and indices, in ``doc``."""
     for key in path[:-1]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 
 from lccsim import gates, qcore
 from lccsim.lcc import run_lcc
-from lccsim.qcore import InvalidInputError, SX, SZ, basis_state
+from lccsim.qcore import (InvalidInputError, SX, SZ, UnknownNameError,
+                          basis_state)
+
+# sha256 over every `gate(name)` matrix, then every `combination_spec(name)`'s
+# coefficients, gates and circuit matrix, in name order, as recorded when
+# U4 and U6 were one-term rows that `combination_spec` padded with a
+# zero identity term
+REGISTRY_DIGEST = "3d75bbaad0dd2a7d4dd213d39fc9935a7a895f79369ed0cb0788765e337c9030"
 
 
 class TestBaseGates:
@@ -70,6 +78,38 @@ class TestCombinations:
             gates.gate("U99")
         with pytest.raises(InvalidInputError):
             gates.combination_spec("H")  # base gate without a combination
+
+    @pytest.mark.parametrize("lookup, name", [
+        (gates.gate, "U99"), (gates.combination_spec, "U99"),
+        (gates.combination_spec, "H")])
+    def test_a_miss_is_one_unknown_name_error(self, lookup, name):
+        with pytest.raises(UnknownNameError) as info:
+            lookup(name)
+        assert str(info.value) == f"unknown operation {name!r}"
+
+    @pytest.mark.parametrize("lookup", [gates.gate, gates.combination_spec])
+    def test_a_long_miss_echoes_a_bounded_name(self, lookup):
+        with pytest.raises(UnknownNameError) as info:
+            lookup("U" * 100_000)
+        assert str(info.value).startswith("unknown operation 'UUU")
+        assert len(str(info.value)) <= 60
+
+    def test_every_row_has_two_terms(self):
+        for coeffs, parts in gates.COMBINATIONS.values():
+            assert len(coeffs) == len(parts) == 2
+        assert gates.COMBINATIONS["U4"] == ((1.0, 0.0), ("A", "I"))
+        assert gates.COMBINATIONS["U6"] == ((1.0, 0.0), ("B", "I"))
+
+    def test_registry_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for name in sorted(gates.GATES):
+            digest.update(name.encode())
+            digest.update(gates.gate(name).tobytes())
+        for name in sorted(gates.COMBINATIONS):
+            spec = gates.combination_spec(name)
+            for array in (spec.coefficients, spec.gates, spec.circuit_matrix):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == REGISTRY_DIGEST
 
     @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
     def test_spec_is_built_once_and_read_only(self, name):

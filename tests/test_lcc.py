@@ -91,6 +91,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             LinearCombinationSpec((R2, R2), (np.ones(2), np.ones(2)))
 
+    @pytest.mark.parametrize("coefficients, gate_list, message", [
+        (1.0, (ID2,), "coefficients must be a sequence of numbers"),
+        ([[1.0]], (ID2,), "coefficients must be a sequence of numbers"),
+        ((R2, R2), 5, "one gate per coefficient required")])
+    def test_non_sequence_refused(self, coefficients, gate_list, message):
+        with pytest.raises(InvalidInputError) as info:
+            LinearCombinationSpec(coefficients, gate_list)
+        assert str(info.value) == message
+
     def test_gate_count_must_match_coefficients(self):
         with pytest.raises(InvalidInputError):
             LinearCombinationSpec((R2, R2), (ID2,))

@@ -411,6 +411,9 @@ POLICY_VERDICTS = {
                       "epsilon must lie in (0, 1/(n-1)] = (0, 1.0]"),
     "decoy-and-density": ((1.0, np.diag([1.5, -0.5])),
                           "decoy state is not positive semidefinite"),
+    # the shape checks run before the size n is read
+    "zero-dimensional": ((0.5, 1.0), "control state must be a matrix"),
+    "empty": ((0.5, np.zeros((0, 0))), "control state must be at least 1x1"),
 }
 
 
@@ -1230,6 +1233,26 @@ PRECONDITIONS = {
     "decoy-identity-not-a-matrix": (
         lambda: protocol.verify_decoy_identity([0.5, 0.5], 0.5),
         InvalidInputError, "control state must be a matrix"),
+    "decoy-identity-empty": (
+        lambda: protocol.verify_decoy_identity(np.zeros((0, 0)), 0.5),
+        InvalidInputError, "control state must be at least 1x1"),
+    "policy-zero-dimensional": (
+        lambda: protocol.SendPolicy(0.5, 0.5, 1.0),
+        InvalidInputError, "control state must be a matrix"),
+    "policy-empty": (
+        lambda: protocol.SendPolicy(0.5, 0.5, np.zeros((0, 0))),
+        InvalidInputError, "control state must be at least 1x1"),
+    "cheating-gate-dimension": (
+        lambda: protocol.cheating_server_state(np.eye(3), B_GATE,
+                                               statevector([1.0, 0.0]),
+                                               R2, R2),
+        protocol.qcore.DimensionMismatchError, "gates A and B must be 2x2"),
+    "session-fractional-rounds": (
+        lambda: protocol.run_session(
+            gates.combination_spec("U2"), basis_state((2,), (0,)),
+            pure_policy((R2, R2)), protocol.ServerBehavior(), 2.5,
+            np.random.default_rng(0)),
+        InvalidInputError, "rounds must be an integer, got 2.5"),
 }
 
 

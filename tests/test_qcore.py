@@ -276,6 +276,11 @@ def test_non_square_matrix_is_not_unitary():
     assert is_unitary(np.eye(2, 3)) is False
 
 
+@pytest.mark.parametrize("m", [1.0, np.ones(1), np.ones(4)])
+def test_non_matrix_is_not_unitary(m):
+    assert is_unitary(m) is False
+
+
 def _reference_is_unitary(m, atol):
     """The unitarity rule as np.allclose(rtol=0) decides it."""
     m = np.asarray(m)

@@ -382,6 +382,9 @@ PRECONDITIONS = {
                     InvalidInputError, "unknown basis 'W'"),
     "chi-shape": (lambda: tm.ChiMatrix(np.eye(3) / 3),
                   InvalidInputError, "chi matrix must be 4x4"),
+    # nan fails every check, so the eigensolver never sees it
+    "chi-nan": (lambda: tm.ChiMatrix(np.full((4, 4), math.nan)),
+                InvalidInputError, "chi matrix must be Hermitian"),
     "chi-hermitian": (
         lambda: tm.ChiMatrix(np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1)),
         InvalidInputError, "chi matrix must be Hermitian"),
