@@ -278,10 +278,6 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
-# each count is Poisson with mean at most shots, and numpy's sampler
-# rejects means above about 9.2e18
-MAX_SHOTS = 10 ** 18
-
 # a session holds its draws and its transcript text in memory, about
 # 0.23 KB a round at its peak (0.1 KB of text; tracemalloc at 10^5 and
 # 4 * 10^5 rounds), so about 2.3 GB at this bound; the line table of
@@ -290,9 +286,10 @@ MAX_ROUNDS = 10 ** 7
 
 
 def cmd_tomography(args) -> int:
-    if not 0 <= args.shots <= MAX_SHOTS:
-        raise _CliError(EXIT_PARSE, f"--shots must lie between 0 and "
-                                    f"{MAX_SHOTS}, got {args.shots}")
+    if not 0 <= args.shots <= tomography.MAX_SHOTS:
+        raise _CliError(EXIT_PARSE,
+                        f"--shots must lie between 0 and "
+                        f"{tomography.MAX_SHOTS}, got {args.shots}")
     if args.resamples < 0:
         raise _CliError(EXIT_PARSE, f"--resamples must be non-negative, "
                                     f"got {args.resamples}")

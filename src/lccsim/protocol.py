@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,8 +38,8 @@ import numpy as np
 from . import qcore
 from .lcc import LinearCombinationSpec, _check_input
 from .qcore import (HADAMARD, ID2, InvalidInputError, QuantumState,
-                    apply_to_subsystems, basis_state, measure_postselect,
-                    statevector, tensor)
+                    apply_to_subsystems, basis_state, integer,
+                    measure_postselect, real, statevector, tensor)
 
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
@@ -65,7 +64,8 @@ def teleport_postselected(state: QuantumState, source: int,
 
 def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
     """Check a control ``rho`` of n terms and its ``epsilon``, in this
-    order: the shape, the range of eps, then the decoy's positivity.
+    order: the shape, eps (`qcore.real`, then its range), then the
+    decoy's positivity; n goes through `qcore.integer` first.
 
     Returns rho as a complex array, the decoy's coefficients (a, b) in
     rho_m = a I - b rho, and one eigendecomposition of rho: lambda in
@@ -75,10 +75,12 @@ def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
     reads 0 from eps = 1e16 on.
     """
     rho = np.asarray(rho, dtype=complex)
+    n = integer(n, "n")
     if n < 1:
         raise InvalidInputError("control state must be at least 1x1")
     if rho.shape != (n, n):
         raise InvalidInputError(f"control state must be {n}x{n}")
+    epsilon = real(epsilon, "epsilon")
     if n == 1:
         if not epsilon > 0.0:
             raise InvalidInputError("epsilon must be positive")
@@ -128,7 +130,7 @@ class SendPolicy:
         rho = np.array(self.control_rho, dtype=complex)
         rho.setflags(write=False)
         object.__setattr__(self, "control_rho", rho)
-        if not 0.0 < self.tau < 1.0:
+        if not 0.0 < real(self.tau, "tau") < 1.0:
             raise InvalidInputError("tau must lie in (0,1)")
         # `n` reads the first axis, which a 0-d control lacks
         if rho.ndim == 0:
@@ -196,6 +198,7 @@ def empirical_server_average(policy: SendPolicy, samples: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Average density matrix the server sees over ``samples`` (at least 1)
     sampled rounds."""
+    samples = integer(samples, "samples")
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
     entries, probs = policy.outcome_table()
@@ -228,7 +231,8 @@ class ServerBehavior:
         if self.mode not in ("honest", "intercept", "skip_measurement"):
             raise InvalidInputError(
                 f"unknown server mode {reprlib.repr(self.mode)}")
-        if not 0.0 <= self.intercept_fraction <= 1.0:
+        if not 0.0 <= real(self.intercept_fraction,
+                             "intercept_fraction") <= 1.0:
             raise InvalidInputError("intercept fraction must lie in [0,1]")
         if self.intercept_basis not in ("x", "z"):
             raise InvalidInputError("intercept basis must be 'x' or 'z'")
@@ -524,9 +528,7 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     stage's success probability S / n^2 at most 1 (see `_teleport_stage`),
     and ``rounds`` an integer of at least 0.
     """
-    if not isinstance(rounds, numbers.Integral):
-        raise InvalidInputError(
-            f"rounds must be an integer, got {reprlib.repr(rounds)}")
+    rounds = integer(rounds, "rounds")
     if rounds < 0:
         raise InvalidInputError(f"rounds must be at least 0, got {rounds}")
     p_lcc, cells = _session_law(spec, input_state, policy, behavior)
@@ -668,6 +670,7 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
     at least 1, and the LCC stage's success probability S / n^2 at most
     1, as in `run_session`.
     """
+    trials = integer(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
     _check_input(spec, input_state)
@@ -690,5 +693,6 @@ def verify_decoy_identity(rho: np.ndarray, epsilon: float, tau: float | None = N
     rho_m = make_decoy(rho, n, epsilon)
     mix = (epsilon / (1 + epsilon)) * rho + (1 / (1 + epsilon)) * rho_m
     if tau is not None:
+        tau = real(tau, "tau")
         mix = tau * mix + ((1 - tau) / n) * np.eye(n)
     return float(np.abs(mix - np.eye(n) / n).max())

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import operator
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,34 @@ class InvalidInputError(ValueError):
 
 class UnknownNameError(InvalidInputError):
     """Input names an operation that no registry holds."""
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int by Python's own index rule (``operator.index``):
+    ints, numpy integers and bools pass; a float, a string or None is
+    refused in a message that leads with ``name``.  Ranges are the
+    caller's."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(
+            f"{name} must be an integer, got {reprlib.repr(value)}") from None
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float when it is a ``numbers.Real`` (a bool or an
+    int counts); a string, None or a complex is refused in a message
+    that leads with ``name``.  nan passes: every range check that
+    follows fails on it."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidInputError(
+            f"{name} must be a real number, got {reprlib.repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer such as 10**400
+        raise InvalidInputError(
+            f"{name} must lie within float range, got {reprlib.repr(value)}"
+        ) from None
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -93,7 +124,13 @@ class QuantumState:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(map(int, self.dims))
+        # the `integer` rule over every entry, in one pass with no Python
+        # call per dimension (a run of `lcc.run_lcc` builds one state)
+        try:
+            dims = tuple(map(operator.index, self.dims))
+        except TypeError:
+            raise InvalidInputError(f"dims must be integers, got "
+                                    f"{reprlib.repr(self.dims)}") from None
         if dims and min(dims) < 0:
             raise DimensionMismatchError(f"negative dimension in dims {dims}")
         total = math.prod(dims)
@@ -123,8 +160,8 @@ def statevector(amplitudes, dims=None) -> QuantumState:
 
 def basis_state(dims, labels) -> QuantumState:
     """Computational basis state |labels> over subsystems of sizes dims."""
-    dims = tuple(int(d) for d in dims)
-    labels = tuple(int(x) for x in labels)
+    dims = tuple(integer(d, "dimension") for d in dims)
+    labels = tuple(integer(x, "label") for x in labels)
     if len(labels) != len(dims):
         raise DimensionMismatchError("one label per subsystem required")
     idx = 0
@@ -132,7 +169,7 @@ def basis_state(dims, labels) -> QuantumState:
         if not 0 <= x < d:
             raise InvalidInputError(f"label {x} invalid for dimension {d}")
         idx = idx * d + x
-    v = np.zeros(int(np.prod(dims)), dtype=complex)
+    v = np.zeros(math.prod(dims), dtype=complex)
     v[idx] = 1.0
     return QuantumState(dims, v)
 
@@ -181,7 +218,7 @@ def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
     """
     op = _as_matrix(op)
     dims = state.dims
-    targets = tuple(targets)
+    targets = tuple(integer(t, "target") for t in targets)
     n = len(dims)
     if len(set(targets)) != len(targets):
         raise InvalidInputError(f"duplicate target index in {targets}")
@@ -189,7 +226,7 @@ def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
         if not 0 <= t < n:
             raise DimensionMismatchError(f"target {t} out of range for {n} subsystems")
     tdims = [dims[t] for t in targets]
-    dt = int(np.prod(tdims, dtype=int))
+    dt = math.prod(tdims)
     if op.shape != (dt, dt):
         raise DimensionMismatchError(
             f"operator shape {op.shape} != target dimension {dt}")
@@ -205,8 +242,8 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
     probability 0 and an empty remainder, not an error; a probability
     that overflows is invalid input.
     """
-    targets = tuple(int(t) for t in targets)
-    outcome = tuple(int(x) for x in outcome)
+    targets = tuple(integer(t, "target") for t in targets)
+    outcome = tuple(integer(x, "outcome label") for x in outcome)
     if len(targets) != len(outcome):
         raise InvalidInputError("one outcome label per target required")
     dims = state.dims
@@ -231,6 +268,7 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    dim = integer(dim, "dim")
     if dim < 1:
         raise InvalidInputError("dimension must be >= 1")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

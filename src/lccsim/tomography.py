@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ID2, PAULIS, InvalidInputError, pauli_coefficients
+from .qcore import (ID2, PAULIS, InvalidInputError, integer,
+                    pauli_coefficients, real)
 
 PREP_LABELS = ("0", "1", "+", "+i")
 BASIS_LABELS = ("X", "Y", "Z")
@@ -114,9 +115,15 @@ def depolarize_chi(chi: ChiMatrix, p: float) -> ChiMatrix:
     The fully depolarizing limit is the uniform Pauli mixture, whose chi
     is I/4; mixing is linear in chi.
     """
+    p = real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("depolarization strength must lie in [0,1]")
     return ChiMatrix((1.0 - p) * chi.data + (p / 4.0) * np.eye(4))
+
+
+# each count is Poisson with mean at most shots, and numpy's sampler
+# rejects means above about 9.2e18
+MAX_SHOTS = 10 ** 18
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,15 @@ def simulate_dataset(chi: ChiMatrix, shots: int, rng: np.random.Generator | None
     analytic mode), mirroring coincidence counting.  For a
     trace-preserving process a setting's two rates sum to 1; for a
     postselected one they scale with that preparation's detection
-    probability.  ``shots`` must be at least 0.
+    probability.  ``shots`` must be an integer of at least 0, and in
+    sampled mode at most `MAX_SHOTS`.
     """
+    shots = integer(shots, "shots")
     if shots < 0:
         raise InvalidInputError(f"shots must be at least 0, got {shots}")
+    if not analytic and shots > MAX_SHOTS:
+        raise InvalidInputError(
+            f"shots must be at most {MAX_SHOTS}, got {shots}")
     rates = np.trace(chi.data @ _C_TABLE, axis1=1, axis2=2).real
     drawn = shots * np.clip(rates, 0.0, None)
     if not analytic:
@@ -273,6 +285,7 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     ``iterations`` counts the gradient steps taken (0 when the start is
     already optimal, as on noise-free analytic data).
     """
+    max_iter = integer(max_iter, "max_iter")
     terms = _likelihood_terms(dataset)
     *_, total = terms
     if not total > 0:
@@ -334,6 +347,7 @@ def bootstrap_fidelity(dataset: TomographyDataset, reference: ChiMatrix,
                        max_iter: int = 2000) -> tuple[float, float]:
     """Poisson-bootstrap mean and standard deviation of the process
     fidelity between re-estimated chi matrices and a reference."""
+    resamples = integer(resamples, "resamples")
     if resamples < 2:
         raise InvalidInputError("need at least two resamples")
     fids = []

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lccsim
-from lccsim import cli, gates, kak, lcc, protocol, qcore
+from lccsim import cli, gates, kak, lcc, protocol, qcore, tomography
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -295,6 +295,16 @@ class TestProtocolCommand:
         assert "analytic_success_probability=0.125000000000" in out
         assert "# summary" in out
 
+    def test_zero_round_scenario(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"operation": "U2", "epsilon": 1.0,
+                                    "tau": 0.5, "rounds": 0, "seed": 1}))
+        assert run(["protocol", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("# rounds=0", "# kind_counts={}",
+                     "# mean_compute_fidelity=None"):
+            assert line in lines
+
     def test_one_teleport_stage_per_session(self, tmp_path, monkeypatch,
                                             capsys):
         # the header's detection rate is read off the session's own law,
@@ -534,6 +544,14 @@ class TestTomographyCommand:
         ops.write_text("U1\nNOPE\n")
         assert run(["tomography", str(ops)]) == 5
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("# a comment\n\nU2\n  # indented comment\nX\n")
+        assert run(["tomography", str(ops)]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        assert rows == ["U2", "X"]
+
     def test_empty_list_exit_5(self, tmp_path):
         ops = tmp_path / "ops.txt"
         ops.write_text("# nothing here\n")
@@ -594,7 +612,7 @@ class TestTomographyCommand:
         ops = tmp_path / "ops.txt"
         ops.write_text("U2\n")
         assert run(["--seed", "1", "tomography", str(ops),
-                    "--shots", str(cli.MAX_SHOTS), "--sampled"]) == 0
+                    "--shots", str(tomography.MAX_SHOTS), "--sampled"]) == 0
         assert float(capsys.readouterr().out.split()[-2]) > 0.999
 
     def test_zero_shots_exit_3(self, tmp_path):

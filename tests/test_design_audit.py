@@ -1,9 +1,10 @@
 """Static audit of the library's surface against every use of it.
 
-Both checks read the syntax trees of ``src/``, ``tests/`` and
+The first two checks read the syntax trees of ``src/``, ``tests/`` and
 ``perfbench/``.  A defaulted parameter that no call passes is an option
 that does nothing; a record field that nothing reads is state that
-nothing needs.
+nothing needs.  The third reads the library alone: a count has one
+rule, ``qcore.integer``, so no entry point grows its own.
 """
 
 import ast
@@ -128,3 +129,26 @@ def test_every_record_field_is_read(library, scanned):
                        for cls, name in _fields(tree) if name not in reads)
     assert offenders == [], "record fields nothing reads: " + \
         ", ".join(offenders)
+
+
+# parameter names that always hold a count or a dimension
+_COUNTS = ("rounds", "samples", "trials", "shots", "resamples", "dim")
+
+
+def test_every_count_goes_through_the_integer_rule(library):
+    offenders = []
+    for path, tree in library:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            ruled = {call.args[0].id for call in ast.walk(node)
+                     if isinstance(call, ast.Call)
+                     and _callee(call) == "integer" and call.args
+                     and isinstance(call.args[0], ast.Name)}
+            args = node.args
+            offenders += [
+                f"{path.name}: {node.name}({arg.arg})"
+                for arg in args.posonlyargs + args.args + args.kwonlyargs
+                if arg.arg in _COUNTS and arg.arg not in ruled]
+    assert offenders == [], "counts that skip qcore.integer: " + \
+        ", ".join(sorted(offenders))

@@ -353,6 +353,13 @@ class TestSendPolicy:
             protocol.empirical_server_average(pol, samples,
                                               np.random.default_rng(0))
 
+    def test_empirical_average_of_one_sample(self):
+        # one sample is the density matrix of the one state sent
+        avg = protocol.empirical_server_average(pure_policy([R2, R2]), 1,
+                                                np.random.default_rng(0))
+        assert abs(np.trace(avg) - 1.0) < 1e-12
+        assert np.linalg.matrix_rank(avg) == 1
+
 
 def pinned_controls():
     """(n, rho, eps) over a seeded grid: a pure and a mixed control for
@@ -507,6 +514,15 @@ class TestRunSession:
                                   np.random.default_rng(3))
         assert tr.completed_rounds == 20
         assert tr.detection_events == 0
+
+    def test_bool_rounds_count_as_an_integer(self):
+        # `qcore.integer` is Python's index rule: True runs one round, as
+        # range(True) would
+        spec, psi = self.spec_and_input()
+        tr = protocol.run_session(spec, psi, pure_policy(spec.coefficients),
+                                  protocol.ServerBehavior(), True,
+                                  np.random.default_rng(0))
+        assert len(tr.rounds) == 1
 
     def test_honest_no_detections(self):
         spec, psi = self.spec_and_input()
@@ -1160,6 +1176,12 @@ class TestSuccessAccounting:
             protocol.monte_carlo_success(spec, basis_state((2,), (0,)), trials,
                                          np.random.default_rng(0))
 
+    def test_monte_carlo_one_trial(self):
+        spec = LinearCombinationSpec((R2, 1j * R2), (A_GATE, B_GATE))
+        est = protocol.monte_carlo_success(spec, basis_state((2,), (0,)), 1,
+                                           np.random.default_rng(0))
+        assert est in (0.0, 1.0)
+
     def test_monte_carlo_rejects_terms_too_large(self):
         # S / n^2 = 4.5 is no probability; it used to pass every LCC stage
         spec = LinearCombinationSpec((R2, R2), (3 * ID2, 3 * SX))
@@ -1253,6 +1275,36 @@ PRECONDITIONS = {
             pure_policy((R2, R2)), protocol.ServerBehavior(), 2.5,
             np.random.default_rng(0)),
         InvalidInputError, "rounds must be an integer, got 2.5"),
+    "server-average-fractional-samples": (
+        lambda: protocol.empirical_server_average(
+            protocol.SendPolicy(1.0, 0.5, np.eye(2) / 2), 2.5,
+            np.random.default_rng(0)),
+        InvalidInputError, "samples must be an integer, got 2.5"),
+    "monte-carlo-fractional-trials": (
+        lambda: protocol.monte_carlo_success(
+            gates.combination_spec("U2"), basis_state((2,), (0,)), 2.5,
+            np.random.default_rng(0)),
+        InvalidInputError, "trials must be an integer, got 2.5"),
+    "monte-carlo-infinite-trials": (
+        lambda: protocol.monte_carlo_success(
+            gates.combination_spec("U2"), basis_state((2,), (0,)), math.inf,
+            np.random.default_rng(0)),
+        InvalidInputError, "trials must be an integer, got inf"),
+    "policy-epsilon-string": (
+        lambda: protocol.SendPolicy("x", 0.5, np.eye(2) / 2),
+        InvalidInputError, "epsilon must be a real number, got 'x'"),
+    "policy-tau-none": (
+        lambda: protocol.SendPolicy(0.5, None, np.eye(2) / 2),
+        InvalidInputError, "tau must be a real number, got None"),
+    "behavior-fraction-string": (
+        lambda: protocol.ServerBehavior("intercept", "x"),
+        InvalidInputError, "intercept_fraction must be a real number, got 'x'"),
+    "decoy-identity-tau-string": (
+        lambda: protocol.verify_decoy_identity(np.eye(2) / 2, 0.5, "x"),
+        InvalidInputError, "tau must be a real number, got 'x'"),
+    "decoy-fractional-n": (
+        lambda: protocol.make_decoy(np.eye(2) / 2, 2.5, 0.5),
+        InvalidInputError, "n must be an integer, got 2.5"),
 }
 
 

@@ -262,6 +262,28 @@ PRECONDITIONS = {
                       InvalidInputError, "no matrix rows"),
     "parse-ragged": (lambda: parse_matrix("1 0\n0\n"),
                      InvalidInputError, "ragged matrix rows"),
+    # a fractional dimension or index is refused, never truncated
+    "state-fractional-dims": (lambda: QuantumState((2.5,), [1, 0]),
+                              InvalidInputError,
+                              r"dims must be integers, got \(2.5,\)"),
+    "basis-fractional-dims": (lambda: basis_state((2.9,), (1.7,)),
+                              InvalidInputError,
+                              "dimension must be an integer, got 2.9"),
+    "basis-fractional-label": (lambda: basis_state((2,), (1.7,)),
+                               InvalidInputError,
+                               "label must be an integer, got 1.7"),
+    "postselect-fractional-target": (
+        lambda: measure_postselect(basis_state((2, 2), (0, 1)), [0.9], [0.2]),
+        InvalidInputError, "target must be an integer, got 0.9"),
+    "postselect-fractional-outcome": (
+        lambda: measure_postselect(basis_state((2, 2), (0, 1)), [0], [0.2]),
+        InvalidInputError, "outcome label must be an integer, got 0.2"),
+    "apply-fractional-target": (
+        lambda: apply_to_subsystems(bell_state(), SX, [0.5]),
+        InvalidInputError, "target must be an integer, got 0.5"),
+    "haar-fractional-dim": (
+        lambda: haar_random_unitary(2.5, np.random.default_rng(0)),
+        InvalidInputError, "dim must be an integer, got 2.5"),
 }
 
 

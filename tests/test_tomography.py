@@ -119,6 +119,12 @@ class TestChiBasics:
 
 
 class TestSimulateDataset:
+    def test_analytic_counts_take_shots_past_the_sampler_bound(self):
+        # MAX_SHOTS guards numpy's Poisson sampler; expected counts need none
+        ds = tm.simulate_dataset(tm.ideal_chi(SX), 10 * tm.MAX_SHOTS, None,
+                                 analytic=True)
+        assert ds.total() == pytest.approx(120 * tm.MAX_SHOTS)
+
     def test_analytic_counts_tp(self):
         chi = tm.ideal_chi(gates.gate("I"))
         ds = tm.simulate_dataset(chi, 1000, None, analytic=True)
@@ -411,6 +417,23 @@ PRECONDITIONS = {
         lambda: tm.simulate_dataset(tm.ideal_chi(SX), -1,
                                     np.random.default_rng(0)),
         InvalidInputError, "shots must be at least 0, got -1"),
+    "shots-above-bound-sampled": (
+        lambda: tm.simulate_dataset(tm.ideal_chi(SX), 10 ** 19,
+                                    np.random.default_rng(0)),
+        InvalidInputError,
+        "shots must be at most 1000000000000000000, got 10000000000000000000"),
+    "bootstrap-fractional-resamples": (
+        lambda: tm.bootstrap_fidelity(
+            tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
+            tm.ideal_chi(SX), 2.5, np.random.default_rng(0)),
+        InvalidInputError, "resamples must be an integer, got 2.5"),
+    "depolarize-string": (lambda: tm.depolarize_chi(tm.ideal_chi(SX), "x"),
+                          InvalidInputError, "p must be a real number, got 'x'"),
+    "mle-fractional-max-iter": (
+        lambda: tm.reconstruct_mle(
+            tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
+            max_iter=2.5),
+        InvalidInputError, "max_iter must be an integer, got 2.5"),
 }
 
 
