@@ -258,8 +258,8 @@ def cmd_protocol(args) -> int:
     transcript = protocol.run_session(spec, input_state, policy, behavior,
                                       rounds, rng)
     analytic = protocol.success_probability_account(spec)
-    # the header reads its counts and its exact rates off the transcript,
-    # so the summary is counted once and the law built once
+    # the header reads its counts off the transcript and its exact rates
+    # off its law, so the summary is counted once and the law built once
     completion = transcript.completed_rounds / rounds if rounds else 0.0
     attempts = int(transcript.lcc_retries.sum())
     per_attempt = transcript.completed_rounds / attempts if attempts else 0.0
@@ -270,10 +270,10 @@ def cmd_protocol(args) -> int:
              f"# analytic_success_probability={_fixed(analytic, '.12f')} "
              f"empirical_success_per_attempt={_fixed(per_attempt, '.12f')}",
              f"# empirical_completion={_fixed(completion, '.12f')} "
-             f"analytic_completion={_fixed(transcript.analytic_completion, '.12f')}",
+             f"analytic_completion={_fixed(transcript.law.completion, '.12f')}",
              f"# detections={transcript.detection_events} "
              f"analytic_detection_rate="
-             f"{_fixed(transcript.analytic_detection_rate, '.12f')}"]
+             f"{_fixed(transcript.law.detection_rate, '.12f')}"]
     _emit(lines, args, transcript.to_text())
     return EXIT_OK
 

@@ -20,9 +20,12 @@ computational-basis intercept is invisible to the client; the default
 attack basis is therefore the diagonal (Hadamard) one, the simplest
 measurement that actually randomizes verify outcomes.  A server that
 skips its measurement leaves the register as a z-basis intercept would.
-`_session_law`, the one model of the server, gives each (sent state,
-server outcome) cell its exact probability: `run_session` draws each
-round's cell once, and the detection rate sums the cells.
+`_session_law`, the one model of the server, returns the session's
+`SessionLaw`: each (sent state, server outcome) cell with its exact
+probability, and from them the exact completion and detection rates.
+`run_session` draws each round's cell once.  One rule, `_Cell.audit`,
+decides which cells can be detected: the intercepted verify cells, so a
+server that does not intercept is never flagged.
 """
 
 from __future__ import annotations
@@ -202,12 +205,9 @@ def empirical_server_average(policy: SendPolicy, samples: int,
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
     entries, probs = policy.outcome_table()
-    counts = rng.multinomial(samples, probs)
-    avg = np.zeros((policy.n, policy.n), dtype=complex)
-    for c, (_, vec) in zip(counts, entries):
-        if c:
-            avg += c * np.outer(vec, vec.conj())
-    return avg / samples
+    vecs = np.array([vec for _, vec in entries])
+    # column e of vecs.T is entry e, weighted by its share of the samples
+    return (vecs.T * (rng.multinomial(samples, probs) / samples)) @ vecs.conj()
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,34 @@ class _Cell(NamedTuple):
     q: float  # the probability that a round falls here (`_session_law`)
     p_complete: float  # the probability that such a round completes
 
+    @property
+    def audit(self) -> float:
+        """A completed round here is detected when its uniform draw
+        exceeds this: F for an intercepted verify cell with a fidelity,
+        inf (never) for every other cell."""
+        return (self.fidelity if self.kind == "verify" and self.intercepted
+                and self.fidelity is not None else math.inf)
+
+
+class SessionLaw(NamedTuple):
+    """A round's exact law (`_session_law`): the LCC stage's success
+    probability p_lcc and every (sent state, server outcome) cell."""
+
+    p_lcc: float
+    cells: tuple[_Cell, ...]
+
+    @property
+    def completion(self) -> float:
+        """The probability that a round completes: sum of q p_complete."""
+        return math.fsum(c.q * c.p_complete for c in self.cells)
+
+    @property
+    def detection_rate(self) -> float:
+        """The probability that a round is detected: sum of
+        q p_complete (1 - F) over the cells `_Cell.audit` can flag."""
+        return math.fsum(c.q * c.p_complete * (1.0 - c.audit)
+                         for c in self.cells if c.audit < math.inf)
+
 
 # a transcript's line table may hold this many keys beyond one per round
 # (`ProtocolTranscript._line_pairs`)
@@ -286,11 +314,12 @@ def _decimal_labels(total: int) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
-    """One session stored by column: round r fell in ``cells[cell[r]]``,
-    took ``lcc_retries[r]`` LCC attempts, and completed and was detected
-    as ``completed[r]`` and ``detected[r]`` say."""
+    """One session stored by column: round r fell in
+    ``law.cells[cell[r]]``, took ``lcc_retries[r]`` LCC attempts, and
+    completed and was detected as ``completed[r]`` and ``detected[r]``
+    say."""
 
-    cells: tuple[_Cell, ...]
+    law: SessionLaw
     cell: np.ndarray
     lcc_retries: np.ndarray
     completed: np.ndarray
@@ -308,26 +337,16 @@ class ProtocolTranscript:
     def completed_rounds(self) -> int:
         return int(np.count_nonzero(self.completed))
 
-    @property
-    def analytic_completion(self) -> float:
-        """The probability that a round completes, read off the cells."""
-        return math.fsum(c.q * c.p_complete for c in self.cells)
-
-    @property
-    def analytic_detection_rate(self) -> float:
-        """`intercept_detection_rate`, read off the cells."""
-        return _detection_rate(self.cells)
-
     def summary(self) -> dict:
-        total = len(self.cell)
+        total, cells = len(self.cell), self.law.cells
         kinds = {}
-        for c, count in zip(self.cells, np.bincount(
-                self.cell, minlength=len(self.cells)).tolist()):
+        for c, count in zip(cells, np.bincount(
+                self.cell, minlength=len(cells)).tolist()):
             if count:
                 kinds[c.kind] = kinds.get(c.kind, 0) + count
         compute_fidelity = np.array([
             c.fidelity if c.kind == "compute" and c.fidelity is not None
-            else np.nan for c in self.cells])
+            else np.nan for c in cells])
         comp = compute_fidelity[self.cell[self.completed]]
         comp = comp[~np.isnan(comp)].tolist()
         return {
@@ -352,7 +371,7 @@ class ProtocolTranscript:
         """
         outcome = 3 * self.cell + self.completed + self.detected
         top = int(self.lcc_retries.max()) + 1 if len(self.cell) else 1
-        size = 3 * len(self.cells) * top
+        size = 3 * len(self.law.cells) * top
         if size <= len(self.cell) + _DENSE_SLACK:
             key = outcome * top + self.lcc_retries
             seen = np.zeros(size, dtype=bool)
@@ -377,7 +396,7 @@ class ProtocolTranscript:
         # sort when the retry counts are too large for one; both give
         # the pairs in the same order
         heads, ends = [], []
-        for c in self.cells:
+        for c in self.law.cells:
             vi = "-" if c.verify_index is None else c.verify_index
             heads.append(f" kind={c.kind} verify_index={vi} "
                          f"intercepted={int(c.intercepted)} lcc_retries=")
@@ -411,11 +430,11 @@ class _RoundView:
         return len(self._t.cell)
 
     def __iter__(self):
-        t = self._t
+        t, cells = self._t, self._t.law.cells
         for r, (cell, retries, completed, detected) in enumerate(zip(
                 t.cell.tolist(), t.lcc_retries.tolist(), t.completed.tolist(),
                 t.detected.tolist())):
-            c = t.cells[cell]
+            c = cells[cell]
             yield RoundRecord(r, c.kind, c.verify_index, c.intercepted, retries,
                               completed, c.fidelity if completed else None,
                               detected)
@@ -458,8 +477,7 @@ def _teleport_stage(spec: LinearCombinationSpec, input_state: QuantumState,
 
 
 def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
-                 policy: SendPolicy, behavior: ServerBehavior
-                 ) -> tuple[float, tuple[_Cell, ...]]:
+                 policy: SendPolicy, behavior: ServerBehavior) -> SessionLaw:
     """A round's exact law: p_lcc and the cells.  Entry e of the
     `outcome_table` owns cell e*(n+1), with q = send prob (1 - f), and
     cell e*(n+1) + 1 + m, with q = send prob f |<sent|B_m>|^2, where f is
@@ -505,12 +523,7 @@ def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
             q = p_send * f * p_basis[m - 1] if m else p_send * (1.0 - f)
             cells.append(_Cell(kind, verify_index, m > 0 and not skip, fidelity,
                                q, p_out[row]))
-    return p_lcc, tuple(cells)
-
-
-def _detection_rate(cells) -> float:
-    return math.fsum(c.q * c.p_complete * (1.0 - c.fidelity) for c in cells
-                     if c.kind == "verify" and c.intercepted and c.fidelity is not None)
+    return SessionLaw(p_lcc, tuple(cells))
 
 
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
@@ -523,7 +536,8 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     retries geometrically until its all-zero outcome, the server measures
     the control or not, and the client's postselected control
     teleportation either completes the run or fails it.  Verify rounds
-    audit the output against V_i |psi> with a single-shot check.  The
+    audit the output against V_i |psi> with a single-shot check, which
+    flags only a round the server intercepted (`_Cell.audit`).  The
     input must be a normalized statevector (within 1e-9), and the LCC
     stage's success probability S / n^2 at most 1 (see `_teleport_stage`),
     and ``rounds`` an integer of at least 0.
@@ -531,32 +545,31 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     rounds = integer(rounds, "rounds")
     if rounds < 0:
         raise InvalidInputError(f"rounds must be at least 0, got {rounds}")
-    p_lcc, cells = _session_law(spec, input_state, policy, behavior)
+    law = _session_law(spec, input_state, policy, behavior)
+    cells = law.cells
     cell = rng.choice(len(cells), size=rounds, p=[c.q for c in cells])
-    retries = (rng.geometric(p_lcc, size=rounds) if p_lcc > 0
+    retries = (rng.geometric(law.p_lcc, size=rounds) if law.p_lcc > 0
                else np.zeros(rounds, dtype=int))
     u_complete, u_detect = rng.random(rounds), rng.random(rounds)
     completed = u_complete < np.array([c.p_complete for c in cells])[cell]
-    # only a completed verify round is detected: when its draw exceeds F
-    audit = np.array([c.fidelity if c.kind == "verify" and c.fidelity is not None
-                      else np.inf for c in cells])
-    detected = completed & (u_detect > audit[cell])
-    return ProtocolTranscript(cells, cell, retries, completed, detected)
+    detected = completed & (u_detect > np.array([c.audit for c in cells])[cell])
+    return ProtocolTranscript(law, cell, retries, completed, detected)
 
 
 def intercept_detection_rate(spec: LinearCombinationSpec,
                              input_state: QuantumState, policy: SendPolicy,
                              behavior: ServerBehavior) -> float:
     """Exact per-run detection probability under the intercept attack:
-    the expectation of a `run_session` round's ``detected`` flag.
+    the expectation of a `run_session` round's ``detected`` flag, which
+    is `SessionLaw.detection_rate`.
 
     It sums q p_complete (1 - F) over `_session_law`'s intercepted verify
     cells, F = |<V_i psi|out_m>|^2: compute and decoy rounds, and verify
     rounds whose V_i annihilates the input, are never detected.  Without
     an intercepting server no cell is intercepted, so the rate is exactly
-    0.  A transcript's ``analytic_detection_rate`` is the same sum.
+    0.  A transcript's ``law.detection_rate`` is the same number.
     """
-    return _detection_rate(_session_law(spec, input_state, policy, behavior)[1])
+    return _session_law(spec, input_state, policy, behavior).detection_rate
 
 
 def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,

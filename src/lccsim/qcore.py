@@ -94,6 +94,7 @@ def allclose_atol(x: np.ndarray, y: np.ndarray, atol: float) -> bool:
 
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
+    atol = real(atol, "atol")
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
@@ -210,6 +211,19 @@ def _contract(op: np.ndarray, tens: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(out, list(range(m)), list(axes))
 
 
+def _targets(targets, dims) -> tuple[int, ...]:
+    """The one target rule: each target an integer (`integer`), none
+    repeated, and each an index into ``dims`` (no negative wrap)."""
+    targets = tuple(integer(t, "target") for t in targets)
+    n = len(dims)
+    if len(set(targets)) != len(targets):
+        raise InvalidInputError(f"duplicate target index in {targets}")
+    for t in targets:
+        if not 0 <= t < n:
+            raise DimensionMismatchError(f"target {t} out of range for {n} subsystems")
+    return targets
+
+
 def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
     """Apply ``op`` to the listed subsystems, identity on the rest.
 
@@ -218,13 +232,7 @@ def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
     """
     op = _as_matrix(op)
     dims = state.dims
-    targets = tuple(integer(t, "target") for t in targets)
-    n = len(dims)
-    if len(set(targets)) != len(targets):
-        raise InvalidInputError(f"duplicate target index in {targets}")
-    for t in targets:
-        if not 0 <= t < n:
-            raise DimensionMismatchError(f"target {t} out of range for {n} subsystems")
+    targets = _targets(targets, dims)
     tdims = [dims[t] for t in targets]
     dt = math.prod(tdims)
     if op.shape != (dt, dt):
@@ -240,13 +248,14 @@ def measure_postselect(state: QuantumState, targets, outcome) -> MeasurementOutc
     Returns the branch probability and the renormalized remainder on the
     unmeasured subsystems.  A zero-probability branch is reported with
     probability 0 and an empty remainder, not an error; a probability
-    that overflows is invalid input.
+    that overflows is invalid input.  Targets follow `apply_to_subsystems`'s
+    rule: integers, none repeated, each in range.
     """
-    targets = tuple(integer(t, "target") for t in targets)
+    dims = state.dims
+    targets = _targets(targets, dims)
     outcome = tuple(integer(x, "outcome label") for x in outcome)
     if len(targets) != len(outcome):
         raise InvalidInputError("one outcome label per target required")
-    dims = state.dims
     for t, x in zip(targets, outcome):
         if not 0 <= x < dims[t]:
             raise InvalidInputError(f"label {x} invalid for subsystem {t} (dim {dims[t]})")

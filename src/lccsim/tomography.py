@@ -152,8 +152,9 @@ def simulate_dataset(chi: ChiMatrix, shots: int, rng: np.random.Generator | None
     analytic mode), mirroring coincidence counting.  For a
     trace-preserving process a setting's two rates sum to 1; for a
     postselected one they scale with that preparation's detection
-    probability.  ``shots`` must be an integer of at least 0, and in
-    sampled mode at most `MAX_SHOTS`.
+    probability.  ``shots`` must be an integer of at least 0: in
+    sampled mode at most `MAX_SHOTS`, and in analytic mode within float
+    range, as the exposure is a float (`qcore.real`).
     """
     shots = integer(shots, "shots")
     if shots < 0:
@@ -162,7 +163,7 @@ def simulate_dataset(chi: ChiMatrix, shots: int, rng: np.random.Generator | None
         raise InvalidInputError(
             f"shots must be at most {MAX_SHOTS}, got {shots}")
     rates = np.trace(chi.data @ _C_TABLE, axis1=1, axis2=2).real
-    drawn = shots * np.clip(rates, 0.0, None)
+    drawn = real(shots, "shots") * np.clip(rates, 0.0, None)
     if not analytic:
         if rng is None:
             raise InvalidInputError("sampling requires a generator")

@@ -95,6 +95,8 @@ REAL_SITES = [
      lambda v: protocol.ServerBehavior("intercept", v)),
     ("depolarize_chi p", "p must be a real number",
      lambda v: tm.depolarize_chi(_chi(), v)),
+    ("is_unitary atol", "atol must be a real number",
+     lambda v: qcore.is_unitary(np.eye(2), atol=v)),
 ]
 
 CASES = (

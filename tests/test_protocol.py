@@ -360,6 +360,21 @@ class TestSendPolicy:
         assert abs(np.trace(avg) - 1.0) < 1e-12
         assert np.linalg.matrix_rank(avg) == 1
 
+    def test_empirical_average_matches_the_loop(self):
+        # the per-entry sum of count * |vec><vec| over the same draw; one
+        # product sums in another order, so within double rounding
+        rng = np.random.default_rng(12)
+        w = rng.random(4)
+        q = haar_random_unitary(4, rng)
+        pol = protocol.SendPolicy(1 / 3, 0.5, (q * w / w.sum()) @ q.conj().T)
+        entries, probs = pol.outcome_table()
+        counts = np.random.default_rng(3).multinomial(1000, probs)
+        want = sum(c * np.outer(vec, vec.conj())
+                   for c, (_, vec) in zip(counts, entries)) / 1000
+        avg = protocol.empirical_server_average(pol, 1000,
+                                                np.random.default_rng(3))
+        assert np.abs(avg - want).max() < 1e-14
+
 
 def pinned_controls():
     """(n, rho, eps) over a seeded grid: a pure and a mixed control for
@@ -619,6 +634,30 @@ class TestRunSession:
                                   np.random.default_rng(1))
         assert tr.detection_events == 0
 
+    @pytest.mark.parametrize("mode", ["honest", "skip_measurement"])
+    def test_unintercepted_verify_round_is_never_detected(self, mode):
+        # an honest U1 verify cell here has F = 1 - 2.2e-16, not 1: with
+        # every round completing and every detection draw at the largest
+        # uniform below 1, a rule that audits every verify cell flags the
+        # completed verify rounds, while the law's rate is 0
+        class Extremes:
+            def __init__(self):
+                rng = np.random.default_rng(0)
+                self.choice, self.geometric = rng.choice, rng.geometric
+                self.draws = iter([0.0, 1.0 - 2.0 ** -53])
+
+            def random(self, size):
+                return np.full(size, next(self.draws))
+
+        spec = gates.combination_spec("U1")
+        psi = statevector([math.cos(9.5), np.exp(0.7j) * math.sin(9.5)])
+        pol = pure_policy(spec.coefficients, epsilon=0.5, tau=0.5)
+        beh = protocol.ServerBehavior(mode=mode)
+        tr = protocol.run_session(spec, psi, pol, beh, 2000, Extremes())
+        assert tr.completed_rounds > 0
+        assert tr.detection_events == 0
+        assert tr.law.detection_rate == 0.0
+
     def test_terms_too_large_rejected(self):
         # 3 I and 3 X give S = 18, so the LCC stage would succeed with
         # probability S / n^2 = 4.5
@@ -716,7 +755,7 @@ class TestRunSession:
         seed = [int(name[1:]), [None, "x", "z"].index(basis)]
         tr = protocol.run_session(spec, psi, policy, behavior, rounds,
                                   np.random.default_rng(seed))
-        cells = tr.cells
+        cells = tr.law.cells
         expected = {kind: sum(c.q for c in cells if c.kind == kind)
                     for kind in ("compute", "decoy", "verify")}
         expected["completed"] = sum(c.q * c.p_complete for c in cells)
@@ -731,7 +770,7 @@ class TestRunSession:
         for key, p in expected.items():
             sigma = math.sqrt(rounds * p * max(1.0 - p, 0.0))
             assert abs(counts[key] - rounds * p) <= 4 * sigma, (key, p)
-        assert abs(tr.analytic_detection_rate - expected["detections"]) < 1e-15
+        assert abs(tr.law.detection_rate - expected["detections"]) < 1e-15
 
 
 def registry_case(name, basis):
@@ -824,7 +863,7 @@ class TestStateLevelRound:
         p_lcc, _, outputs, p_complete = protocol._teleport_stage(spec, psi, sent)
         cells = protocol.run_session(spec, psi, policy,
                                      protocol.ServerBehavior(), 0,
-                                     np.random.default_rng(0)).cells
+                                     np.random.default_rng(0)).law.cells
         for e, (label, vec) in enumerate(entries):
             p_lcc_circuit, p_teleport, out = state_level_round(spec, psi, vec)
             assert abs(p_lcc_circuit - p_lcc) < 1e-12
@@ -854,7 +893,7 @@ class TestStateLevelRound:
                                            intercept_basis=basis)
         entries, send_probs = policy.outcome_table()
         cells = protocol.run_session(spec, psi, policy, behavior, 0,
-                                     np.random.default_rng(0)).cells
+                                     np.random.default_rng(0)).law.cells
         assert len(cells) == len(entries) * (n + 1)
         for e, (label, vec) in enumerate(entries):
             kind = label if isinstance(label, str) else label[0]
@@ -897,7 +936,7 @@ class TestStateLevelRound:
                                            intercept_basis=server[1])
         tr = protocol.run_session(spec, psi, policy, behavior, 0,
                                   np.random.default_rng(0))
-        assert abs(tr.analytic_completion - 1.0 / n ** 2) < 1e-12
+        assert abs(tr.law.completion - 1.0 / n ** 2) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(gates.COMBINATIONS))
     def test_skip_measurement_law_matches_cheating_server(self, name):
@@ -964,7 +1003,7 @@ class TestColumnarTranscript:
         """A session of at least ``least_rounds`` rounds whose largest
         retry count (top - 1, in round 0) makes its line table exactly as
         large as `_line_pairs` keys without a sort, and that top."""
-        width = 3 * len(self.session(0).cells)
+        width = 3 * len(self.session(0).law.cells)
         top = -(-(least_rounds + protocol._DENSE_SLACK) // width)
         tr = self.session(width * top - protocol._DENSE_SLACK)
         retries = tr.lcc_retries.copy()
@@ -978,7 +1017,7 @@ class TestColumnarTranscript:
         tr, _ = self.switch_session(3000)
         if past:
             tr = protocol.ProtocolTranscript(
-                tr.cells, tr.cell[:-1], tr.lcc_retries[:-1],
+                tr.law, tr.cell[:-1], tr.lcc_retries[:-1],
                 tr.completed[:-1], tr.detected[:-1])
         sorts = []
         unique = np.unique

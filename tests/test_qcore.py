@@ -278,6 +278,17 @@ PRECONDITIONS = {
     "postselect-fractional-outcome": (
         lambda: measure_postselect(basis_state((2, 2), (0, 1)), [0], [0.2]),
         InvalidInputError, "outcome label must be an integer, got 0.2"),
+    # measure_postselect keeps apply_to_subsystems's target rule
+    "postselect-target-range": (
+        lambda: measure_postselect(basis_state((2, 2), (0, 1)), [2], [0]),
+        DimensionMismatchError, "target 2 out of range for 2 subsystems"),
+    "postselect-negative-target": (
+        lambda: measure_postselect(basis_state((2, 2), (0, 1)), [-1], [0]),
+        DimensionMismatchError, "target -1 out of range for 2 subsystems"),
+    "postselect-duplicate-target": (
+        lambda: measure_postselect(basis_state((2, 2), (0, 1)), [0, 0],
+                                   (0, 1)),
+        InvalidInputError, r"duplicate target index in \(0, 0\)"),
     "apply-fractional-target": (
         lambda: apply_to_subsystems(bell_state(), SX, [0.5]),
         InvalidInputError, "target must be an integer, got 0.5"),

@@ -422,6 +422,11 @@ PRECONDITIONS = {
                                     np.random.default_rng(0)),
         InvalidInputError,
         "shots must be at most 1000000000000000000, got 10000000000000000000"),
+    # the analytic exposure is a float, so shots must fit in one
+    "shots-beyond-float-analytic": (
+        lambda: tm.simulate_dataset(tm.ideal_chi(SX), 10 ** 400, None,
+                                    analytic=True),
+        InvalidInputError, "shots must lie within float range, got "),
     "bootstrap-fractional-resamples": (
         lambda: tm.bootstrap_fidelity(
             tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
