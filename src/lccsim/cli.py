@@ -227,9 +227,9 @@ def cmd_protocol(args) -> int:
         intercept_fraction = lcc._number(doc.get("intercept_fraction", 0.0),
                                          "intercept_fraction")
         rounds = _integer(doc["rounds"], "rounds")
-        if not 0 <= rounds <= MAX_ROUNDS:
-            raise ValueError(f"rounds must lie between 0 and {MAX_ROUNDS}, "
-                             f"got {rounds}")
+        if not 0 <= rounds <= protocol.MAX_ROUNDS:
+            raise ValueError(f"rounds must lie between 0 and "
+                             f"{protocol.MAX_ROUNDS}, got {rounds}")
         amps = None
         if "input_state" in doc:
             amps = np.array([lcc._complex(z, "input_state amplitude")
@@ -247,7 +247,7 @@ def cmd_protocol(args) -> int:
     input_state = _checked_input(
         None if amps is None else qcore.statevector(amps), spec)
 
-    control = np.array(spec.coefficients, dtype=complex)
+    control = spec.coefficients
     policy = protocol.SendPolicy(epsilon=epsilon, tau=tau,
                                  control_rho=np.outer(control, control.conj()))
     behavior = protocol.ServerBehavior(
@@ -276,13 +276,6 @@ def cmd_protocol(args) -> int:
              f"{_fixed(transcript.law.detection_rate, '.12f')}"]
     _emit(lines, args, transcript.to_text())
     return EXIT_OK
-
-
-# a session holds its draws and its transcript text in memory, about
-# 0.23 KB a round at its peak (0.1 KB of text; tracemalloc at 10^5 and
-# 4 * 10^5 rounds), so about 2.3 GB at this bound; the line table of
-# `ProtocolTranscript.to_text` is freed before the text is joined
-MAX_ROUNDS = 10 ** 7
 
 
 def cmd_tomography(args) -> int:

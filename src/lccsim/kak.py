@@ -23,7 +23,8 @@ import numpy as np
 
 from . import qcore
 from .lcc import LinearCombinationSpec
-from .qcore import SX, SY, SZ, InvalidInputError, allclose_atol, is_unitary
+from .qcore import (SX, SY, SZ, InvalidInputError, allclose_atol, array,
+                    is_unitary)
 
 # Fixed magic-basis matrix: maps the Bell-like basis so that SU(2)xSU(2)
 # conjugates into SO(4).
@@ -106,8 +107,10 @@ def simultaneous_svd(u_real: np.ndarray, u_imag: np.ndarray
     directions, so one of the seven in ``_EIGH_DIRECTIONS`` always
     separates them.  Failure is reported, never silent.
     """
-    a = np.real(np.asarray(u_real, dtype=float))
-    b = np.real(np.asarray(u_imag, dtype=float))
+    # contiguous copies of the real parts: a strided view would take
+    # numpy's non-BLAS matmul, which rounds differently
+    a = array(u_real, "u_real").real.copy()
+    b = array(u_imag, "u_imag").real.copy()
     if a.shape != (4, 4) or b.shape != (4, 4):
         raise InvalidInputError("expected real 4x4 matrices")
     ab = a @ b.T
@@ -164,7 +167,7 @@ def _factor_tensor_product(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Cartan factorization of a 4x4 unitary with the four-term expansion."""
-    u = np.asarray(u, dtype=complex)
+    u = array(u, "u")
     if u.shape != (4, 4) or not is_unitary(u, atol=1e-9):
         raise InvalidInputError("kak_decompose requires a 4x4 unitary")
     det = np.linalg.det(u)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import (ATOL_STRUCT, InvalidInputError, QuantumState,
-                    UnknownNameError, is_unitary, statevector)
+                    UnknownNameError, array, is_unitary, statevector)
 # not called here; bound so that perfbench's tracer and the tests can
 # patch them through this module
 from .qcore import apply_to_subsystems, measure_postselect  # noqa: F401
@@ -66,7 +66,7 @@ class LinearCombinationSpec:
     can_overflow: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        alpha = np.array(self.coefficients, dtype=complex)
+        alpha = array(self.coefficients, "coefficients").copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "coefficients", alpha)
         if alpha.ndim != 1:
@@ -77,12 +77,13 @@ class LinearCombinationSpec:
             raise InvalidInputError(f"term count {n} is not a power of 2")
         if not hasattr(self.gates, "__len__") or len(self.gates) != n:
             raise InvalidInputError("one gate per coefficient required")
-        try:
-            stack = np.array(self.gates, dtype=complex)
-        except (TypeError, ValueError):  # ragged, or not numbers
-            stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        # the rule reads each gate, so that gates of unequal shape are
+        # told so rather than that they make no array
+        gates = [array(g, "gates") for g in self.gates]
+        d = len(gates[0]) if gates[0].ndim else 0
+        if any(g.shape != (d, d) for g in gates):
             raise InvalidInputError("all gates must be square of equal size")
+        stack = np.array(gates)
         if not (np.isfinite(alpha).all() and np.isfinite(stack).all()):
             raise InvalidInputError("coefficients and gates must be finite")
         stack.flags.writeable = False

@@ -41,7 +41,7 @@ import numpy as np
 from . import qcore
 from .lcc import LinearCombinationSpec, _check_input
 from .qcore import (HADAMARD, ID2, InvalidInputError, QuantumState,
-                    apply_to_subsystems, basis_state, integer,
+                    apply_to_subsystems, array, basis_state, integer,
                     measure_postselect, real, statevector, tensor)
 
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -65,10 +65,15 @@ def teleport_postselected(state: QuantumState, source: int,
     return measure_postselect(st, [source, a], (0, 0))
 
 
+_NOT_A_DENSITY_MATRIX = ("control state is not a density matrix: it must "
+                         "be Hermitian and positive semidefinite with trace 1")
+
+
 def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
     """Check a control ``rho`` of n terms and its ``epsilon``, in this
-    order: the shape, eps (`qcore.real`, then its range), then the
-    decoy's positivity; n goes through `qcore.integer` first.
+    order: the shape, eps (`qcore.real`, then its range), rho's
+    finiteness, then the decoy's positivity; rho goes through
+    `qcore.array` and n through `qcore.integer` first.
 
     Returns rho as a complex array, the decoy's coefficients (a, b) in
     rho_m = a I - b rho, and one eigendecomposition of rho: lambda in
@@ -77,7 +82,7 @@ def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
     finite eps > 0: (a, b) = (1, 0), where the formula's (1+eps) - eps rho
     reads 0 from eps = 1e16 on.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = array(rho, "rho")
     n = integer(n, "n")
     if n < 1:
         raise InvalidInputError("control state must be at least 1x1")
@@ -95,6 +100,8 @@ def _decoy_rule(rho, n: int, epsilon: float) -> tuple:
     else:
         raise InvalidInputError(
             f"epsilon must lie in (0, 1/(n-1)] = (0, {1.0 / (n - 1)}]")
+    if not np.isfinite(rho).all():
+        raise InvalidInputError(_NOT_A_DENSITY_MATRIX)
     lam, vecs = np.linalg.eigh(rho)
     decoy = a - b * lam[::-1]
     if decoy[0] < -qcore.ATOL_STRUCT:
@@ -130,7 +137,7 @@ class SendPolicy:
     _table: tuple[tuple, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.array(self.control_rho, dtype=complex)
+        rho = array(self.control_rho, "control_rho").copy()
         rho.setflags(write=False)
         object.__setattr__(self, "control_rho", rho)
         if not 0.0 < real(self.tau, "tau") < 1.0:
@@ -139,13 +146,10 @@ class SendPolicy:
         if rho.ndim == 0:
             raise InvalidInputError("control state must be a matrix")
         _, _, lam, vecs, decoy = _decoy_rule(rho, self.n, self.epsilon)
-        # a nan anywhere fails the first comparison
         if not (np.abs(rho - rho.conj().T).max() <= qcore.ATOL_STRUCT
                 and abs(np.trace(rho) - 1.0) <= 1e-9
                 and lam[0] >= -qcore.ATOL_STRUCT):
-            raise InvalidInputError(
-                "control state is not a density matrix: it must be "
-                "Hermitian and positive semidefinite with trace 1")
+            raise InvalidInputError(_NOT_A_DENSITY_MATRIX)
         entries, probs = [], []
         vecs.setflags(write=False)
         for kind, p_kind, weights, states in (
@@ -526,6 +530,13 @@ def _session_law(spec: LinearCombinationSpec, input_state: QuantumState,
     return SessionLaw(p_lcc, tuple(cells))
 
 
+# a session holds its draws and its transcript text in memory, about
+# 0.23 KB a round at its peak (0.1 KB of text; tracemalloc at 10^5 and
+# 4 * 10^5 rounds), so about 2.3 GB at this bound; the line table of
+# `ProtocolTranscript.to_text` is freed before the text is joined
+MAX_ROUNDS = 10 ** 7
+
+
 def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
                 policy: SendPolicy, behavior: ServerBehavior, rounds: int,
                 rng: np.random.Generator) -> ProtocolTranscript:
@@ -540,11 +551,14 @@ def run_session(spec: LinearCombinationSpec, input_state: QuantumState,
     flags only a round the server intercepted (`_Cell.audit`).  The
     input must be a normalized statevector (within 1e-9), and the LCC
     stage's success probability S / n^2 at most 1 (see `_teleport_stage`),
-    and ``rounds`` an integer of at least 0.
+    and ``rounds`` an integer from 0 to `MAX_ROUNDS`.
     """
     rounds = integer(rounds, "rounds")
     if rounds < 0:
         raise InvalidInputError(f"rounds must be at least 0, got {rounds}")
+    if rounds > MAX_ROUNDS:
+        raise InvalidInputError(
+            f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
     law = _session_law(spec, input_state, policy, behavior)
     cells = law.cells
     cell = rng.choice(len(cells), size=rounds, p=[c.q for c in cells])
@@ -581,13 +595,15 @@ def cheating_server_state(a_gate: np.ndarray, b_gate: np.ndarray,
     the client's control preparation, CNOT, Hadamard, then the client's
     (0,0) postselection.  Returns alpha |0> A|phi> + beta |1> B|phi> on
     the server's qubit plus register.  A and B must be d x d, d the
-    dimension of phi.
+    dimension of phi, and alpha and beta numbers.
     """
+    a_gate, b_gate = array(a_gate, "a_gate"), array(b_gate, "b_gate")
+    alpha, beta = array(alpha, "alpha"), array(beta, "beta")
+    if alpha.ndim or beta.ndim:
+        raise InvalidInputError("control amplitudes must be numbers")
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise InvalidInputError("control amplitudes must be normalized")
     d = phi.total_dim
-    a_gate = np.asarray(a_gate, dtype=complex)
-    b_gate = np.asarray(b_gate, dtype=complex)
     if a_gate.shape != (d, d) or b_gate.shape != (d, d):
         raise qcore.DimensionMismatchError(
             f"gates A and B must be {d}x{d}, as phi is {d}-dim")
@@ -634,11 +650,13 @@ def no_cloning_witness(a_gate: np.ndarray, b_gate: np.ndarray,
                        phi: QuantumState, control_1, control_2) -> WitnessReport:
     """Compare overlaps of held vs required states for two control choices,
     each a pair of amplitudes."""
+    a_gate, b_gate = array(a_gate, "a_gate"), array(b_gate, "b_gate")
+
     def held(c):
         return cheating_server_state(a_gate, b_gate, phi, c[0], c[1]).data
 
     def required(c):
-        comb = (c[0] * np.asarray(a_gate) + c[1] * np.asarray(b_gate)) @ phi.data
+        comb = (c[0] * a_gate + c[1] * b_gate) @ phi.data
         norm = np.linalg.norm(comb)
         if norm <= 1e-300:
             raise InvalidInputError(
@@ -646,8 +664,7 @@ def no_cloning_witness(a_gate: np.ndarray, b_gate: np.ndarray,
                 "state to require")
         return np.kron(np.array([c[0], c[1]]), comb / norm)
 
-    c1 = np.asarray(control_1, dtype=complex)
-    c2 = np.asarray(control_2, dtype=complex)
+    c1, c2 = array(control_1, "control_1"), array(control_2, "control_2")
     if c1.shape != (2,) or c2.shape != (2,):
         raise InvalidInputError("each control must be a pair of amplitudes")
     obs = abs(np.vdot(held(c1), held(c2)))
@@ -699,7 +716,7 @@ def monte_carlo_success(spec: LinearCombinationSpec, input_state: QuantumState,
 def verify_decoy_identity(rho: np.ndarray, epsilon: float, tau: float | None = None
                           ) -> float:
     """Max deviation of the decoy (and optional verify-state) mixture from I/n."""
-    rho = np.asarray(rho)
+    rho = array(rho, "rho")
     if rho.ndim != 2:
         raise InvalidInputError("control state must be a matrix")
     n = rho.shape[0]

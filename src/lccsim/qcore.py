@@ -70,8 +70,25 @@ def real(value, name: str) -> float:
         ) from None
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+def array(value, name: str) -> np.ndarray:
+    """``value`` as a complex ndarray when numpy reads it as a regular
+    array of numbers (dtype kind bool, integer, float or complex; a 0-d
+    number counts); a string, None, an object or a ragged list is
+    refused in a message that leads with ``name``.  A complex ndarray
+    comes back as it is, uncopied.  Shapes and finiteness are the
+    caller's."""
+    try:
+        out = np.asarray(value)
+    except ValueError:  # ragged
+        out = None
+    if out is None or out.dtype.kind not in "biufc":
+        raise InvalidInputError(f"{name} must be an array of numbers, "
+                                f"got {reprlib.repr(value)}")
+    return out.astype(complex, copy=False)
+
+
+def _as_matrix(a, name: str) -> np.ndarray:
+    m = array(a, name)
     if m.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
@@ -95,7 +112,7 @@ def allclose_atol(x: np.ndarray, y: np.ndarray, atol: float) -> bool:
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     atol = real(atol, "atol")
-    m = np.asarray(m)
+    m = array(m, "m")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     # entries too large to square overflow: not unitary, and no warning
@@ -104,10 +121,13 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
 
 
 def pauli_coefficients(op) -> np.ndarray:
-    """Coefficients c with op = sum_m c_m PAULIS[m], for any 2x2 operator."""
-    op = np.asarray(op, dtype=complex)
+    """Coefficients c with op = sum_m c_m PAULIS[m], for any finite 2x2
+    operator."""
+    op = array(op, "op")
     if op.shape != (2, 2):
         raise InvalidInputError("pauli expansion needs a 2x2 operator")
+    if not np.isfinite(op).all():
+        raise InvalidInputError("op has non-finite entries")
     return np.array([np.trace(p @ op) / 2.0 for p in PAULIS])
 
 
@@ -135,7 +155,10 @@ class QuantumState:
         if dims and min(dims) < 0:
             raise DimensionMismatchError(f"negative dimension in dims {dims}")
         total = math.prod(dims)
-        data = np.asarray(self.data, dtype=complex)
+        data = self.data
+        # no call for the complex ndarray that every run passes
+        if not (type(data) is np.ndarray and data.dtype == complex):
+            data = array(data, "data")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
         # a finite squared norm bounds every amplitude; only a norm that is
@@ -154,8 +177,9 @@ class QuantumState:
 
 
 def statevector(amplitudes, dims=None) -> QuantumState:
+    amplitudes = array(amplitudes, "amplitudes")
     if dims is None:
-        dims = (len(amplitudes),)
+        dims = amplitudes.shape[:1]
     return QuantumState(tuple(dims), amplitudes)
 
 
@@ -230,7 +254,7 @@ def apply_to_subsystems(state: QuantumState, op, targets) -> QuantumState:
     The operator is contracted into the reshaped state, so the cost and
     memory scale with the state, never with a full-register matrix.
     """
-    op = _as_matrix(op)
+    op = _as_matrix(op, "op")
     dims = state.dims
     targets = _targets(targets, dims)
     tdims = [dims[t] for t in targets]
@@ -288,8 +312,8 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def phase_aligned_distance(a, b) -> float:
     """min over phi of ||a - e^{i phi} b||_F; zero iff equal up to global phase."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+    a = _as_matrix(a, "a")
+    b = _as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
     # the minimizing phase is -arg tr(a^+ b); evaluating the residual
@@ -302,8 +326,8 @@ def phase_aligned_distance(a, b) -> float:
 
 def vector_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Phase-aligned Euclidean distance between two vectors."""
-    return phase_aligned_distance(np.asarray(a).reshape(-1, 1),
-                                  np.asarray(b).reshape(-1, 1))
+    return phase_aligned_distance(array(a, "a").reshape(-1, 1),
+                                  array(b, "b").reshape(-1, 1))
 
 
 # -- matrix literal file format ---------------------------------------------
@@ -313,7 +337,7 @@ def vector_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
 # comments.
 
 def format_matrix(m: np.ndarray) -> str:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    m = np.atleast_2d(array(m, "m"))
     lines = []
     for row in m:
         lines.append(" ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in row))

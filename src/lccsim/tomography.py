@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (ID2, PAULIS, InvalidInputError, integer,
+from .qcore import (ID2, PAULIS, InvalidInputError, array, integer,
                     pauli_coefficients, real)
 
 PREP_LABELS = ("0", "1", "+", "+i")
@@ -83,7 +83,7 @@ class ChiMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.data, dtype=complex)
+        m = array(self.data, "data")
         if m.shape != (4, 4):
             raise InvalidInputError("chi matrix must be 4x4")
         # a nan or inf entry leaves a nan in m - m^H, which fails this
@@ -270,13 +270,13 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
                     initial: np.ndarray | None = None) -> MleResult:
     """Maximum-likelihood chi by accelerated projected gradient ascent.
 
-    Starts from the nearest unit-trace positive matrix to ``initial``
-    (default: the linear-inversion estimate), or from I/4, which gives
-    every cell probability 1/2, when that start gives an observed cell
-    zero probability.  Each iteration takes one step chi <- P(y + s G) from
-    the momentum point y, where P is the exact projection and the step
-    s backtracks until the sufficient-increase test holds; momentum
-    restarts whenever the log-likelihood would drop.
+    Starts from the nearest unit-trace positive matrix to ``initial``, a
+    finite 4x4 matrix (default: the linear-inversion estimate), or from
+    I/4, which gives every cell probability 1/2, when that start gives an
+    observed cell zero probability.  Each iteration takes one step
+    chi <- P(y + s G) from the momentum point y, where P is the exact
+    projection and the step s backtracks until the sufficient-increase
+    test holds; momentum restarts whenever the log-likelihood would drop.
 
     ``gradient_norm`` is the count-scaled optimality residual
     (lambda_max(G) - Tr(G chi)) / N at the returned chi, where G is the
@@ -287,12 +287,15 @@ def reconstruct_mle(dataset: TomographyDataset, max_iter: int = 10000,
     already optimal, as on noise-free analytic data).
     """
     max_iter = integer(max_iter, "max_iter")
+    if initial is not None:
+        initial = array(initial, "initial")
+        if initial.shape != (4, 4) or not np.isfinite(initial).all():
+            raise InvalidInputError("initial must be a finite 4x4 matrix")
     terms = _likelihood_terms(dataset)
     *_, total = terms
     if not total > 0:
         raise InvalidInputError("dataset is empty")
-    start = (linear_inversion(dataset) if initial is None
-             else np.asarray(initial, dtype=complex))
+    start = linear_inversion(dataset) if initial is None else initial
     chi = _project_unit_simplex(start)
     grad, ll = _chi_gradient(chi, terms)
     if not np.isfinite(ll):

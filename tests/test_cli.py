@@ -461,7 +461,7 @@ class TestProtocolCommand:
         assert (code, err) == (2, "error: invalid scenario field: "
                                   f"input_state amplitude {message}\n")
 
-    @pytest.mark.parametrize("rounds", [cli.MAX_ROUNDS + 1, 10 ** 15])
+    @pytest.mark.parametrize("rounds", [protocol.MAX_ROUNDS + 1, 10 ** 15])
     def test_rounds_above_bound_exit_2(self, tmp_path, monkeypatch, capsys,
                                        rounds):
         def no_session(*args):
@@ -473,7 +473,7 @@ class TestProtocolCommand:
                                     "tau": 0.5, "rounds": rounds, "seed": 1}))
         assert run(["protocol", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(cli.MAX_ROUNDS) in err
+        assert err.count("\n") == 1 and str(protocol.MAX_ROUNDS) in err
         code, err = run_process(["protocol", str(path)])
         assert code == 2
         assert "Traceback" not in err and err.count("\n") == 1
@@ -488,11 +488,11 @@ class TestProtocolCommand:
         monkeypatch.setattr(protocol, "run_session", stub)
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"operation": "U2", "epsilon": 1.0,
-                                    "tau": 0.5, "rounds": cli.MAX_ROUNDS,
+                                    "tau": 0.5, "rounds": protocol.MAX_ROUNDS,
                                     "seed": 1}))
         with pytest.raises(Started) as info:
             run(["protocol", str(path)])
-        assert info.value.args == (cli.MAX_ROUNDS,)
+        assert info.value.args == (protocol.MAX_ROUNDS,)
 
     def test_out_file_equals_stdout(self, tmp_path, capsys):
         path = tmp_path / "intercept.json"

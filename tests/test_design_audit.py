@@ -3,8 +3,9 @@
 The first two checks read the syntax trees of ``src/``, ``tests/`` and
 ``perfbench/``.  A defaulted parameter that no call passes is an option
 that does nothing; a record field that nothing reads is state that
-nothing needs.  The third reads the library alone: a count has one
-rule, ``qcore.integer``, so no entry point grows its own.
+nothing needs.  The last two read the library alone: a count has one
+rule, ``qcore.integer``, and an array argument one, ``qcore.array``, so
+no entry point grows its own.
 """
 
 import ast
@@ -151,4 +152,38 @@ def test_every_count_goes_through_the_integer_rule(library):
                 for arg in args.posonlyargs + args.args + args.kwonlyargs
                 if arg.arg in _COUNTS and arg.arg not in ruled]
     assert offenders == [], "counts that skip qcore.integer: " + \
+        ", ".join(sorted(offenders))
+
+
+def _array_conversions(func: ast.FunctionDef):
+    """``np.asarray`` and ``np.array`` calls in ``func`` whose first
+    argument is one of its parameters, or a field read in
+    ``__post_init__``."""
+    args = func.args
+    params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    for call in ast.walk(func):
+        if not (isinstance(call, ast.Call) and call.args
+                and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "np"
+                and call.func.attr in ("asarray", "array")):
+            continue
+        first = call.args[0]
+        if (isinstance(first, ast.Name) and first.id in params
+                or func.name == "__post_init__"
+                and isinstance(first, ast.Attribute)
+                and isinstance(first.value, ast.Name)
+                and first.value.id == "self"):
+            yield call.lineno, f"{call.func.attr}({ast.unparse(first)})"
+
+
+def test_every_array_argument_goes_through_the_array_rule(library):
+    offenders = {
+        f"{path.name}:{line}: {node.name} {conversion}"
+        for path, tree in library
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and not (path.name == "qcore.py" and node.name == "array")
+        for line, conversion in _array_conversions(node)}
+    assert offenders == set(), "array arguments that skip qcore.array: " + \
         ", ".join(sorted(offenders))

@@ -1344,6 +1344,21 @@ PRECONDITIONS = {
     "decoy-fractional-n": (
         lambda: protocol.make_decoy(np.eye(2) / 2, 2.5, 0.5),
         InvalidInputError, "n must be an integer, got 2.5"),
+    # a non-finite control has no decoy, whatever make_decoy accepts else
+    "decoy-nan": (
+        lambda: protocol.make_decoy(np.full((2, 2), math.nan), 2, 0.5),
+        InvalidInputError, "control state is not a density matrix"),
+    "decoy-inf-n=1": (
+        lambda: protocol.make_decoy([[math.inf]], 1, 0.5),
+        InvalidInputError, "control state is not a density matrix"),
+    "decoy-identity-nan": (
+        lambda: protocol.verify_decoy_identity(np.full((2, 2), math.nan), 0.5),
+        InvalidInputError, "control state is not a density matrix"),
+    "cheating-amplitude-pair": (
+        lambda: protocol.cheating_server_state(A_GATE, B_GATE,
+                                               statevector([1.0, 0.0]),
+                                               [R2, R2], R2),
+        InvalidInputError, "control amplitudes must be numbers"),
 }
 
 
@@ -1352,3 +1367,22 @@ def test_precondition_raises(name):
     call, error, fragment = PRECONDITIONS[name]
     with pytest.raises(error, match=fragment):
         call()
+
+
+class _NoDraws:
+    """A generator that fails the test on any draw."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a round was drawn")
+
+    geometric = random = choice
+
+
+def test_rounds_above_the_bound_are_refused_before_any_draw():
+    # the documented bound; the draws of 10^7 rounds alone take ~0.5 GB
+    assert protocol.MAX_ROUNDS == 10 ** 7
+    with pytest.raises(InvalidInputError,
+                       match="rounds must be at most 10000000, got 10000001"):
+        protocol.run_session(gates.combination_spec("U2"),
+                             basis_state((2,), (0,)), pure_policy((R2, R2)),
+                             protocol.ServerBehavior(), 10 ** 7 + 1, _NoDraws())

@@ -9,7 +9,7 @@ from lccsim.qcore import (DimensionMismatchError, HADAMARD, ID2,
                           QuantumState, allclose_atol, apply_to_subsystems,
                           basis_state, format_matrix, haar_random_unitary,
                           is_unitary,
-                          measure_postselect, parse_matrix,
+                          measure_postselect, parse_matrix, pauli_coefficients,
                           phase_aligned_distance, statevector, tensor)
 
 
@@ -295,6 +295,12 @@ PRECONDITIONS = {
     "haar-fractional-dim": (
         lambda: haar_random_unitary(2.5, np.random.default_rng(0)),
         InvalidInputError, "dim must be an integer, got 2.5"),
+    "pauli-non-finite": (
+        lambda: pauli_coefficients([[math.nan, 0], [0, 1]]),
+        InvalidInputError, "op has non-finite entries"),
+    "statevector-zero-dimensional": (lambda: statevector(1.0),
+                                     DimensionMismatchError,
+                                     r"statevector length \(\) != prod"),
 }
 
 

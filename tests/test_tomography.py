@@ -434,6 +434,19 @@ PRECONDITIONS = {
         InvalidInputError, "resamples must be an integer, got 2.5"),
     "depolarize-string": (lambda: tm.depolarize_chi(tm.ideal_chi(SX), "x"),
                           InvalidInputError, "p must be a real number, got 'x'"),
+    # the Pauli expansion refuses a nan before it divides by the trace
+    "ideal-nan": (lambda: tm.ideal_chi(np.full((2, 2), math.nan)),
+                  InvalidInputError, "op has non-finite entries"),
+    "mle-initial-shape": (
+        lambda: tm.reconstruct_mle(
+            tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
+            initial=np.eye(2) / 2),
+        InvalidInputError, "initial must be a finite 4x4 matrix"),
+    "mle-initial-nan": (
+        lambda: tm.reconstruct_mle(
+            tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
+            initial=np.full((4, 4), math.nan)),
+        InvalidInputError, "initial must be a finite 4x4 matrix"),
     "mle-fractional-max-iter": (
         lambda: tm.reconstruct_mle(
             tm.simulate_dataset(tm.ideal_chi(SX), 10, None, analytic=True),
